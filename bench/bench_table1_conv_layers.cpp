@@ -3,12 +3,13 @@
 // passes of the canonical 128^3 network, batch size 1.
 //
 // The paper measures a 68-core KNL node (AVX-512, 535 Gflop/s whole-
-// net); this machine is a single AVX-512 core, so absolute times are
-// larger — the comparison targets are the *ratios*: conv2 dominates,
-// the last four convs are cheap, early layers run much faster than the
-// tail (channel-starved) layers.
+// net); this bench runs on one default ThreadPool (every hardware
+// thread, or COSMOFLOW_NUM_THREADS) and prints the thread count it
+// used, so absolute times are larger — the comparison targets are the
+// *ratios*: conv2 dominates, the last four convs are cheap, early
+// layers run much faster than the tail (channel-starved) layers.
 //
-//   ./bench_table1_conv_layers [--iters=3]
+//   [COSMOFLOW_NUM_THREADS=N] ./bench_table1_conv_layers [--iters=3]
 //
 // With telemetry compiled in (the default), per-pass times come from
 // the cf::obs trace spans the layers emit; with COSMOFLOW_TELEMETRY=OFF
@@ -33,14 +34,15 @@ int main(int argc, char** argv) {
     }
   }
 
+  runtime::ThreadPool pool;
+  const std::size_t threads = pool.num_threads();
   std::printf("=== bench_table1_conv_layers: Table I, canonical 128^3 "
               "network ===\n");
-  std::printf("(%d timed iterations after one warm-up; single core)\n\n",
-              iters);
+  std::printf("(%d timed iterations after one warm-up; %zu thread%s)\n\n",
+              iters, threads, threads == 1 ? "" : "s");
 
   dnn::Network net = core::build_network(core::cosmoflow_128(), 7);
   dnn::ExecContext ctx = net.make_context(dnn::ExecMode::kTraining);
-  runtime::ThreadPool pool;
   tensor::Tensor input(net.input_shape());
   runtime::Rng rng(7);
   tensor::fill_normal(input, rng, 0.0f, 1.0f);
@@ -115,8 +117,9 @@ int main(int argc, char** argv) {
   const double gflop =
       static_cast<double>(net.flops(true).total()) / 1e9;
   std::printf("\nconv total: %.1f ms; full fwd+bwd step: %.1f ms "
-              "(%.1f Gflop -> %.1f Gflop/s sustained, single core)\n",
-              conv_total_ms, step * 1e3, gflop, gflop / step);
+              "(%.1f Gflop -> %.1f Gflop/s sustained, %zu thread%s)\n",
+              conv_total_ms, step * 1e3, gflop, gflop / step, threads,
+              threads == 1 ? "" : "s");
   std::printf("paper (68-core KNL): conv total 30.3 ms, step 145 ms, "
               "535 Gflop/s/node\n");
   std::printf("shape targets: conv2 dominates every pass; conv4-7 "

@@ -10,12 +10,15 @@
 //       [--sims=24] [--grid=32] [--voxels=32] [--box=256]
 //       [--samples-per-shard=16] [--seed=1] [--2lpt]
 #include <cstdio>
+#include <exception>
 
 #include "core/dataset_gen.hpp"
 #include "cosmo/gaussian_field.hpp"
 #include "examples/example_utils.hpp"
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(int argc, char** argv) {
   using namespace cf;
   const examples::Flags flags(
       argc, argv,
@@ -32,6 +35,22 @@ int main(int argc, char** argv) {
   gen.sim.voxels = flags.get_int("voxels", 32);
   gen.sim.use_2lpt = flags.get_int("2lpt", 0) != 0;
   gen.seed = static_cast<std::uint64_t>(flags.get_int("seed", 1));
+
+  // Splits hold out whole simulations; check them before simulating
+  // anything instead of failing at the shard write.
+  const std::int64_t sims = flags.get_int("sims", 24);
+  const data::SplitCounts split = data::split_group_counts(
+      gen.simulations, gen.val_fraction, gen.test_fraction);
+  if (sims < 1 || split.train == 0 || split.val == 0 || split.test == 0) {
+    std::fprintf(stderr,
+                 "generate_dataset: --sims=%lld leaves an empty split "
+                 "(%zu train / %zu val / %zu test simulations; val "
+                 "holds out %.0f%%, test %.0f%%, rounded down)\n",
+                 static_cast<long long>(sims), split.train, split.val,
+                 split.test, gen.val_fraction * 100.0,
+                 gen.test_fraction * 100.0);
+    return 2;
+  }
 
   runtime::ThreadPool pool;
   std::printf("simulating %zu boxes: %lld^3 particles, %.0f Mpc/h, "
@@ -86,4 +105,15 @@ int main(int argc, char** argv) {
               out.c_str());
   std::printf("next: ./examples/train_cosmoflow --data=%s\n", out.c_str());
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  try {
+    return run(argc, argv);
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "generate_dataset: %s\n", e.what());
+    return 1;
+  }
 }

@@ -169,33 +169,42 @@ std::vector<std::string> write_shards(const std::vector<Sample>& samples,
   return paths;
 }
 
-SplitIndices split_by_group(const std::vector<std::size_t>& groups,
-                            double val_fraction, double test_fraction,
-                            std::uint64_t seed) {
+SplitCounts split_group_counts(std::size_t groups, double val_fraction,
+                               double test_fraction) {
   if (val_fraction < 0.0 || test_fraction < 0.0 ||
       val_fraction + test_fraction >= 1.0) {
     throw std::invalid_argument("split_by_group: bad fractions");
   }
+  SplitCounts counts;
+  counts.val = static_cast<std::size_t>(val_fraction *
+                                        static_cast<double>(groups));
+  counts.test = static_cast<std::size_t>(test_fraction *
+                                         static_cast<double>(groups));
+  counts.train = groups - counts.val - counts.test;
+  return counts;
+}
+
+SplitIndices split_by_group(const std::vector<std::size_t>& groups,
+                            double val_fraction, double test_fraction,
+                            std::uint64_t seed) {
   std::vector<std::size_t> unique = groups;
   std::sort(unique.begin(), unique.end());
   unique.erase(std::unique(unique.begin(), unique.end()), unique.end());
+  const SplitCounts counts =
+      split_group_counts(unique.size(), val_fraction, test_fraction);
 
   runtime::Rng rng(seed, /*stream=*/0x73706C6974ULL);  // "split"
   for (std::size_t i = unique.size(); i > 1; --i) {
     std::swap(unique[i - 1], unique[rng.uniform_index(i)]);
   }
-  const std::size_t val_groups = static_cast<std::size_t>(
-      val_fraction * static_cast<double>(unique.size()));
-  const std::size_t test_groups = static_cast<std::size_t>(
-      test_fraction * static_cast<double>(unique.size()));
 
   enum class Bucket : std::uint8_t { kTrain, kVal, kTest };
   std::unordered_map<std::size_t, Bucket> assignment;
   for (std::size_t i = 0; i < unique.size(); ++i) {
     Bucket bucket = Bucket::kTrain;
-    if (i < val_groups) {
+    if (i < counts.val) {
       bucket = Bucket::kVal;
-    } else if (i < val_groups + test_groups) {
+    } else if (i < counts.val + counts.test) {
       bucket = Bucket::kTest;
     }
     assignment[unique[i]] = bucket;

@@ -107,4 +107,15 @@ SplitIndices split_by_group(const std::vector<std::size_t>& groups,
                             double val_fraction, double test_fraction,
                             std::uint64_t seed);
 
+/// How many of `groups` distinct groups split_by_group assigns to each
+/// split: floor(fraction * groups) to val and to test, the rest to
+/// train. Lets a caller reject an empty split before generating data.
+struct SplitCounts {
+  std::size_t train = 0;
+  std::size_t val = 0;
+  std::size_t test = 0;
+};
+SplitCounts split_group_counts(std::size_t groups, double val_fraction,
+                               double test_fraction);
+
 }  // namespace cf::data

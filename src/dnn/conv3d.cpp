@@ -10,18 +10,22 @@
 // workspace (owned by the stream's LayerExecState) so every inner loop
 // is branch-free; the innermost (ow, ic, oc) loops operate on 16-float
 // channel blocks that the compiler lowers to AVX-512 FMAs. Threading
-// decomposes the output voxel space in the forward pass, the *input*
-// voxel space in the backward-data pass (gather form over transposed
-// weight tiles — each dsrc row is produced whole, with no zero-fill or
-// scatter traffic), and (ocb, icb, kd) channel-block tiles in the
+// decomposes the output voxel space in the forward pass and in the
+// backward sweep (LeakyReLU mask, bias gradient and, for a plain
+// source, every weight tap in one pass over ddst), the *input* voxel
+// space in the backward-data pass (gather form over transposed weight
+// tiles — each dsrc row is produced whole, with no zero-fill or scatter
+// traffic), and (ocb, icb, kd) channel-block tiles in the blocked
 // backward-weights pass, as described in §III-C.
 #include "dnn/conv3d.hpp"
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <cstring>
 #include <span>
 #include <stdexcept>
+#include <utility>
 #include <vector>
 
 #include "obs/telemetry.hpp"
@@ -181,6 +185,102 @@ inline void micro_bww_row(float* __restrict acc,
 }
 
 #endif  // __AVX512F__
+
+/// One ddst row of the backward sweep (Conv3d::backward_sweep): mask
+/// each ddst vector with the fused LeakyReLU derivative when `yrow` is
+/// set (writing it back when `store`), add it to the bias accumulator,
+/// and FMA it into N (ic, tap) weight-gradient accumulators. `taps[t]`
+/// is tap t's padded source row at ow = 0. Accumulators stay in
+/// registers across the row, so each ddst vector is loaded once;
+/// `bias` is read and written only when non-null.
+constexpr int kTapGroup = 27;  // IC = 1, k = 3: 27 of 32 zmm registers
+
+#if defined(__AVX512F__)
+
+template <int N>
+void sweep_row(float* __restrict acc, float* __restrict bias,
+               const float* const* __restrict taps, float* __restrict drow,
+               const float* __restrict yrow, float slope, bool store,
+               std::int64_t count, std::int64_t stride) {
+  __m512 a[N > 0 ? N : 1];
+#pragma GCC unroll 32
+  for (int t = 0; t < N; ++t) a[t] = _mm512_loadu_ps(acc + t * kB);
+  __m512 b = bias != nullptr ? _mm512_loadu_ps(bias) : _mm512_setzero_ps();
+  const __m512 vslope = _mm512_set1_ps(slope);
+  for (std::int64_t ow = 0; ow < count; ++ow) {
+    __m512 d = _mm512_loadu_ps(drow + ow * kB);
+    if (yrow != nullptr) {
+      // Lanes with !(y > 0), NaN included, take the slope: exactly the
+      // scalar `y > 0 ? d : slope * d`.
+      const __mmask16 neg =
+          _mm512_cmp_ps_mask(_mm512_loadu_ps(yrow + ow * kB),
+                             _mm512_setzero_ps(), _CMP_NGT_UQ);
+      d = _mm512_mask_mul_ps(d, neg, d, vslope);
+      if (store) _mm512_storeu_ps(drow + ow * kB, d);
+    }
+    b = _mm512_add_ps(b, d);
+    const std::int64_t s = ow * stride;
+#pragma GCC unroll 32
+    for (int t = 0; t < N; ++t) {
+      a[t] = _mm512_fmadd_ps(d, _mm512_set1_ps(taps[t][s]), a[t]);
+    }
+  }
+#pragma GCC unroll 32
+  for (int t = 0; t < N; ++t) _mm512_storeu_ps(acc + t * kB, a[t]);
+  if (bias != nullptr) _mm512_storeu_ps(bias, b);
+}
+
+#else  // portable fallback
+
+template <int N>
+void sweep_row(float* __restrict acc, float* __restrict bias,
+               const float* const* __restrict taps, float* __restrict drow,
+               const float* __restrict yrow, float slope, bool store,
+               std::int64_t count, std::int64_t stride) {
+  float b[kB];
+  for (int oc = 0; oc < kB; ++oc) b[oc] = bias != nullptr ? bias[oc] : 0.0f;
+  for (std::int64_t ow = 0; ow < count; ++ow) {
+    float d[kB];
+    for (int oc = 0; oc < kB; ++oc) {
+      const float v = drow[ow * kB + oc];
+      d[oc] = yrow == nullptr || yrow[ow * kB + oc] > 0.0f ? v : slope * v;
+      if (yrow != nullptr && store) drow[ow * kB + oc] = d[oc];
+      b[oc] += d[oc];
+    }
+    for (int t = 0; t < N; ++t) {
+      const float sv = taps[t][ow * stride];
+      for (int oc = 0; oc < kB; ++oc) acc[t * kB + oc] += d[oc] * sv;
+    }
+  }
+  if (bias != nullptr) std::memcpy(bias, b, sizeof(b));
+}
+
+#endif  // __AVX512F__
+
+using SweepRowFn = void (*)(float*, float*, const float* const*, float*,
+                            const float*, float, bool, std::int64_t,
+                            std::int64_t);
+
+template <std::size_t... N>
+constexpr std::array<SweepRowFn, sizeof...(N)> make_sweep_rows(
+    std::index_sequence<N...>) {
+  return {&sweep_row<static_cast<int>(N)>...};
+}
+
+/// sweep_row<n> for every group size n in [0, kTapGroup].
+constexpr auto kSweepRow =
+    make_sweep_rows(std::make_index_sequence<kTapGroup + 1>{});
+
+/// dst[e] += sum over `slabs` partial rows (`stride` floats apart) of
+/// element e, for e < n — summed in double, in slab order.
+void add_slab_sums(const float* partials, std::int64_t slabs,
+                   std::int64_t stride, std::int64_t n, float* dst) {
+  for (std::int64_t e = 0; e < n; ++e) {
+    double sum = 0.0;
+    for (std::int64_t s = 0; s < slabs; ++s) sum += partials[s * stride + e];
+    dst[e] += static_cast<float>(sum);
+  }
+}
 
 /// Fused-epilogue output write: dst[i] = lrelu(acc[i]). Same float ops
 /// (compare, multiply) the standalone LeakyRelu would apply to the
@@ -466,9 +566,15 @@ std::size_t Conv3d::forward_workspace_floats() const {
 }
 
 std::size_t Conv3d::backward_scratch_floats() const {
-  // The blocked gather path transposes every weight tile; the plain
-  // first-layer path uses the reference kernel and needs none.
-  return plain_input_ ? 0 : weights_.size();
+  // One partial per (ocb, od) slab of the backward sweep: every weight
+  // tap of a plain source plus the bias. Backward-data of a blocked
+  // source later reuses the scratch for its transposed weight tiles.
+  const std::int64_t ocb_count = config_.out_channels / kB;
+  const std::int64_t weights = static_cast<std::int64_t>(weights_.size());
+  const std::int64_t slabs = ocb_count * out_d_;
+  return static_cast<std::size_t>(
+      plain_input_ ? slabs * (weights / ocb_count + kB)
+                   : std::max(weights, slabs * kB));
 }
 
 namespace {
@@ -604,24 +710,17 @@ void Conv3d::backward(const Tensor& src, const Tensor& dst, Tensor& ddst,
   {
     CF_TRACE_SCOPE(span_label_bww().c_str(), "conv");
     const runtime::ScopedTimer timer(exec.timers.bwd_weights);
+    const Tensor* y = nullptr;  // forward output: the fused mask source
     if (fused_) {
       if (dst.shape() != output_shape()) {
         throw std::invalid_argument("Conv3d::backward: dst shape mismatch");
       }
-      // One sweep masks ddst with the LeakyReLU derivative *in place*
-      // (ddst is consumed — Layer contract) and accumulates the bias
-      // gradient from the already-masked values.
-      mask_bias_grad_pass(dst, ddst, exec.grads[1], pool,
-                          exec.intraop_grain);
-    } else {
-      bias_grad_pass(ddst, exec.grads[1], pool, exec.intraop_grain);
+      y = &dst;
     }
+    backward_sweep(y, ddst, need_dsrc, exec, pool);
     // The padded source copy in the stream's workspace is still valid
     // from this stream's forward().
-    if (plain_input_) {
-      backward_weights_plain_src(ddst, exec.workspace.data(),
-                                 exec.grads[0], pool, exec.intraop_grain);
-    } else {
+    if (!plain_input_) {
       backward_weights_blocked(ddst, exec.workspace.data(), exec.grads[0],
                                pool, exec.intraop_grain);
     }
@@ -640,62 +739,71 @@ void Conv3d::backward(const Tensor& src, const Tensor& dst, Tensor& ddst,
   }
 }
 
-void Conv3d::bias_grad_pass(const Tensor& ddst, Tensor& bias_grad,
-                            runtime::ThreadPool& pool,
-                            std::size_t grain) const {
+void Conv3d::backward_sweep(const Tensor* dst, Tensor& ddst, bool need_dsrc,
+                            LayerExecState& exec,
+                            runtime::ThreadPool& pool) const {
+  if (exec.scratch.size() < backward_scratch_floats()) {
+    throw std::logic_error("Conv3d: backward scratch smaller than "
+                           "backward_scratch_floats()");
+  }
+  const std::int64_t ic_count = config_.in_channels;
   const std::int64_t ocb_count = config_.out_channels / kB;
-  const std::int64_t voxels = out_d_ * out_h_ * out_w_;
+  const std::int64_t k = config_.kernel;
+  const std::int64_t stride = config_.stride;
+  // A plain source's (kd, kh, kw, ic) taps in weight-layout order; a
+  // blocked source leaves its weights to backward_weights_blocked.
+  const std::int64_t taps = plain_input_ ? k * k * k * ic_count : 0;
+  const std::int64_t groups =
+      std::max<std::int64_t>(1, (taps + kTapGroup - 1) / kTapGroup);
+  const std::int64_t width = (taps + 1) * kB;  // slab partial + bias
+  // The masked ddst goes back to memory only for a later reader: the
+  // next tap group, the blocked bww kernel or the data-gradient pass.
+  const bool store = !plain_input_ || need_dsrc || groups > 1;
+  float* const partials = exec.scratch.data();
   pool.parallel_for(
-      static_cast<std::size_t>(ocb_count),
+      static_cast<std::size_t>(ocb_count * out_d_),
       [&](std::size_t begin, std::size_t end, std::size_t) {
-        for (std::size_t ocb = begin; ocb < end; ++ocb) {
-          double acc[kB] = {};
-          const float* base =
-              ddst.data() +
-              static_cast<std::int64_t>(ocb) * voxels * kB;
-          for (std::int64_t v = 0; v < voxels; ++v) {
-            for (int oc = 0; oc < kB; ++oc) acc[oc] += base[v * kB + oc];
-          }
-          float* bg = bias_grad.data() + ocb * kB;
-          for (int oc = 0; oc < kB; ++oc) {
-            bg[oc] += static_cast<float>(acc[oc]);
-          }
-        }
-      },
-      grain);
-}
-
-void Conv3d::mask_bias_grad_pass(const Tensor& dst, Tensor& ddst,
-                                 Tensor& bias_grad,
-                                 runtime::ThreadPool& pool,
-                                 std::size_t grain) const {
-  const std::int64_t ocb_count = config_.out_channels / kB;
-  const std::int64_t voxels = out_d_ * out_h_ * out_w_;
-  const float slope = slope_;
-  pool.parallel_for(
-      static_cast<std::size_t>(ocb_count),
-      [&](std::size_t begin, std::size_t end, std::size_t) {
-        for (std::size_t ocb = begin; ocb < end; ++ocb) {
-          const std::int64_t off =
-              static_cast<std::int64_t>(ocb) * voxels * kB;
-          const float* y = dst.data() + off;
-          float* md = ddst.data() + off;
-          double acc[kB] = {};
-          for (std::int64_t v = 0; v < voxels; ++v) {
-            for (int oc = 0; oc < kB; ++oc) {
-              const std::int64_t i = v * kB + oc;
-              const float m = y[i] > 0.0f ? md[i] : slope * md[i];
-              md[i] = m;
-              acc[oc] += m;
+        const float* src[kTapGroup] = {};
+        for (std::size_t job = begin; job < end; ++job) {
+          const std::int64_t slab = static_cast<std::int64_t>(job);
+          const std::int64_t id0 = slab % out_d_ * stride;
+          float* part = partials + slab * width;
+          std::fill(part, part + width, 0.0f);
+          for (std::int64_t oh = 0; oh < out_h_; ++oh) {
+            const std::int64_t row = (slab * out_h_ + oh) * out_w_ * kB;
+            for (std::int64_t g = 0; g < groups; ++g) {
+              const std::int64_t t0 = g * kTapGroup;
+              const std::int64_t n = std::min<std::int64_t>(kTapGroup,
+                                                            taps - t0);
+              for (std::int64_t i = 0; i < n; ++i) {
+                const std::int64_t kdhw = (t0 + i) / ic_count;
+                const std::int64_t ic = (t0 + i) % ic_count;
+                src[i] = exec.workspace.data() +
+                         ((ic * pd_ + id0 + kdhw / (k * k)) * ph_ +
+                          oh * stride + kdhw / k % k) *
+                             pw_ +
+                         kdhw % k;
+              }
+              const bool first = g == 0;
+              kSweepRow[static_cast<std::size_t>(n)](
+                  part + t0 * kB, first ? part + taps * kB : nullptr, src,
+                  ddst.data() + row,
+                  first && dst != nullptr ? dst->data() + row : nullptr,
+                  slope_, first && store, out_w_, stride);
             }
           }
-          float* bg = bias_grad.data() + ocb * kB;
-          for (int oc = 0; oc < kB; ++oc) {
-            bg[oc] += static_cast<float>(acc[oc]);
-          }
         }
       },
-      grain);
+      exec.intraop_grain);
+  // Partials combine on this thread in slab order: threaded execution
+  // is bitwise serial at every thread count and grain (DESIGN.md §2.6).
+  for (std::int64_t ocb = 0; ocb < ocb_count; ++ocb) {
+    const float* p = partials + ocb * out_d_ * width;
+    add_slab_sums(p, out_d_, width, taps * kB,
+                  exec.grads[0].data() + ocb * taps * kB);
+    add_slab_sums(p + taps * kB, out_d_, width, kB,
+                  exec.grads[1].data() + ocb * kB);
+  }
 }
 
 void Conv3d::forward_blocked(const Tensor& /*src*/, Tensor& dst,
@@ -967,133 +1075,6 @@ void Conv3d::backward_weights_blocked(const Tensor& ddst,
                   ((((ocb * icb_count + icb) * k + kd) * k + kh) * k + kw) *
                       kB * kB;
               for (std::int64_t i = 0; i < kB * kB; ++i) {
-                wtile[i] += acc[static_cast<std::size_t>(i)];
-              }
-            }
-          }
-        }
-      },
-      grain);
-}
-
-void Conv3d::backward_weights_plain_src(const Tensor& ddst,
-                                        const float* padded,
-                                        Tensor& weight_grad,
-                                        runtime::ThreadPool& pool,
-                                        std::size_t grain) const {
-  const std::int64_t ic_count = config_.in_channels;
-  const std::int64_t ocb_count = config_.out_channels / kB;
-  const std::int64_t k = config_.kernel;
-  const std::int64_t stride = config_.stride;
-  const std::int64_t dp = pd_;
-  const std::int64_t hp = ph_;
-  const std::int64_t wp = pw_;
-
-  pool.parallel_for(
-      static_cast<std::size_t>(ocb_count * k),
-      [&](std::size_t begin, std::size_t end, std::size_t) {
-        std::vector<float> acc(static_cast<std::size_t>(ic_count) * kB);
-        for (std::size_t job = begin; job < end; ++job) {
-          const std::int64_t kd = static_cast<std::int64_t>(job) % k;
-          const std::int64_t ocb = static_cast<std::int64_t>(job) / k;
-          for (std::int64_t kh = 0; kh < k; ++kh) {
-            for (std::int64_t kw = 0; kw < k; ++kw) {
-#if defined(__AVX512F__)
-              if (ic_count == 1) {
-                // Eight independent accumulator chains over the output
-                // row hide the FMA latency.
-                __m512 a0 = _mm512_setzero_ps();
-                __m512 a1 = _mm512_setzero_ps();
-                __m512 a2 = _mm512_setzero_ps();
-                __m512 a3 = _mm512_setzero_ps();
-                __m512 a4 = _mm512_setzero_ps();
-                __m512 a5 = _mm512_setzero_ps();
-                __m512 a6 = _mm512_setzero_ps();
-                __m512 a7 = _mm512_setzero_ps();
-                for (std::int64_t od = 0; od < out_d_; ++od) {
-                  const std::int64_t id = od * stride + kd;
-                  for (std::int64_t oh = 0; oh < out_h_; ++oh) {
-                    const std::int64_t ih = oh * stride + kh;
-                    const float* drow =
-                        ddst.data() +
-                        (((ocb * out_d_ + od) * out_h_ + oh) * out_w_) *
-                            kB;
-                    const float* splane = padded + (id * hp + ih) * wp + kw;
-                    std::int64_t ow = 0;
-                    for (; ow + 8 <= out_w_; ow += 8) {
-                      const float* d = drow + ow * kB;
-                      const float* s = splane + ow * stride;
-                      a0 = _mm512_fmadd_ps(_mm512_loadu_ps(d + 0 * kB),
-                                           _mm512_set1_ps(s[0 * stride]),
-                                           a0);
-                      a1 = _mm512_fmadd_ps(_mm512_loadu_ps(d + 1 * kB),
-                                           _mm512_set1_ps(s[1 * stride]),
-                                           a1);
-                      a2 = _mm512_fmadd_ps(_mm512_loadu_ps(d + 2 * kB),
-                                           _mm512_set1_ps(s[2 * stride]),
-                                           a2);
-                      a3 = _mm512_fmadd_ps(_mm512_loadu_ps(d + 3 * kB),
-                                           _mm512_set1_ps(s[3 * stride]),
-                                           a3);
-                      a4 = _mm512_fmadd_ps(_mm512_loadu_ps(d + 4 * kB),
-                                           _mm512_set1_ps(s[4 * stride]),
-                                           a4);
-                      a5 = _mm512_fmadd_ps(_mm512_loadu_ps(d + 5 * kB),
-                                           _mm512_set1_ps(s[5 * stride]),
-                                           a5);
-                      a6 = _mm512_fmadd_ps(_mm512_loadu_ps(d + 6 * kB),
-                                           _mm512_set1_ps(s[6 * stride]),
-                                           a6);
-                      a7 = _mm512_fmadd_ps(_mm512_loadu_ps(d + 7 * kB),
-                                           _mm512_set1_ps(s[7 * stride]),
-                                           a7);
-                    }
-                    for (; ow < out_w_; ++ow) {
-                      a0 = _mm512_fmadd_ps(
-                          _mm512_loadu_ps(drow + ow * kB),
-                          _mm512_set1_ps(splane[ow * stride]), a0);
-                    }
-                  }
-                }
-                const __m512 total = _mm512_add_ps(
-                    _mm512_add_ps(_mm512_add_ps(a0, a1),
-                                  _mm512_add_ps(a2, a3)),
-                    _mm512_add_ps(_mm512_add_ps(a4, a5),
-                                  _mm512_add_ps(a6, a7)));
-                float* wtile =
-                    weight_grad.data() +
-                    (((ocb * k + kd) * k + kh) * k + kw) * kB;
-                _mm512_storeu_ps(
-                    wtile, _mm512_add_ps(_mm512_loadu_ps(wtile), total));
-                continue;
-              }
-#endif  // __AVX512F__
-              std::fill(acc.begin(), acc.end(), 0.0f);
-              for (std::int64_t od = 0; od < out_d_; ++od) {
-                const std::int64_t id = od * stride + kd;
-                for (std::int64_t oh = 0; oh < out_h_; ++oh) {
-                  const std::int64_t ih = oh * stride + kh;
-                  const float* drow =
-                      ddst.data() +
-                      (((ocb * out_d_ + od) * out_h_ + oh) * out_w_) * kB;
-                  for (std::int64_t ic = 0; ic < ic_count; ++ic) {
-                    const float* splane =
-                        padded + ((ic * dp + id) * hp + ih) * wp + kw;
-                    float* arow = acc.data() + ic * kB;
-                    for (std::int64_t ow = 0; ow < out_w_; ++ow) {
-                      const float sv = splane[ow * stride];
-                      const float* d = drow + ow * kB;
-                      for (int oc = 0; oc < kB; ++oc) {
-                        arow[oc] += d[oc] * sv;
-                      }
-                    }
-                  }
-                }
-              }
-              float* wtile =
-                  weight_grad.data() +
-                  (((ocb * k + kd) * k + kh) * k + kw) * ic_count * kB;
-              for (std::int64_t i = 0; i < ic_count * kB; ++i) {
                 wtile[i] += acc[static_cast<std::size_t>(i)];
               }
             }

@@ -6,8 +6,9 @@
 //  * blocked — the production kernels implementing Algorithm 1 of the
 //    paper: activations in nCdhw16c, weights in OIdhw16i16o, innermost
 //    (ow, ic, oc) loops unrolled/vectorized to AVX-512 FMAs, threading
-//    over the output voxel space (forward/backward-data) and over
-//    channel-block pairs (backward-weights).
+//    over (channel-block, output-depth) slabs (forward and the backward
+//    mask/bias/plain-source weight sweep), input-depth slabs
+//    (backward-data) and channel-block tiles (blocked backward-weights).
 //
 // Kernels are cubic and "same"/"valid" padding is resolved per spatial
 // dimension at plan time (asymmetric when the total is odd, matching
@@ -100,9 +101,10 @@ class Conv3d final : public Layer {
   /// forward, re-read by backward-weights of the same stream).
   std::size_t forward_workspace_floats() const override;
 
-  /// Backward-data reads the weights transposed ({..., 16oc, 16ic});
-  /// the transposed copy lives in the stream's scratch span, which a
-  /// planned context shares across layers (DESIGN.md §2.2).
+  /// The stream's scratch span holds the backward sweep's per-slab
+  /// partials, then backward-data's transposed weights
+  /// ({..., 16oc, 16ic}); a planned context shares it across layers
+  /// (DESIGN.md §2.2).
   std::size_t backward_scratch_floats() const override;
 
   /// MKL-DNN-style post-op fusion: fold a trailing LeakyReLU into the
@@ -158,22 +160,20 @@ class Conv3d final : public Layer {
   void forward_plain_src(const tensor::Tensor& src, tensor::Tensor& dst,
                          const float* padded, runtime::ThreadPool& pool,
                          std::size_t grain) const;
-  void bias_grad_pass(const tensor::Tensor& ddst, tensor::Tensor& bias_grad,
-                      runtime::ThreadPool& pool, std::size_t grain) const;
-  void mask_bias_grad_pass(const tensor::Tensor& dst, tensor::Tensor& ddst,
-                           tensor::Tensor& bias_grad,
-                           runtime::ThreadPool& pool,
-                           std::size_t grain) const;
+  /// The one sweep over ddst that opens every backward, on the
+  /// (ocb, od) slab grid: masks ddst with the fused LeakyReLU
+  /// derivative (`dst` = the forward output, or null when unfused),
+  /// sums the bias gradient and, for a plain source, every
+  /// weight-gradient tap. Per-slab partials in exec.scratch combine in
+  /// slab order.
+  void backward_sweep(const tensor::Tensor* dst, tensor::Tensor& ddst,
+                      bool need_dsrc, LayerExecState& exec,
+                      runtime::ThreadPool& pool) const;
   void backward_weights_blocked(const tensor::Tensor& ddst,
                                 const float* padded,
                                 tensor::Tensor& weight_grad,
                                 runtime::ThreadPool& pool,
                                 std::size_t grain) const;
-  void backward_weights_plain_src(const tensor::Tensor& ddst,
-                                  const float* padded,
-                                  tensor::Tensor& weight_grad,
-                                  runtime::ThreadPool& pool,
-                                  std::size_t grain) const;
   void backward_data_blocked(const tensor::Tensor& ddst,
                              tensor::Tensor& dsrc, std::span<float> scratch,
                              runtime::ThreadPool& pool,

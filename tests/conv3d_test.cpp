@@ -155,7 +155,15 @@ INSTANTIATE_TEST_SUITE_P(
         ConvCase{1, 16, 8, 3, 1, Padding::kSame},
         ConvCase{1, 32, 8, 3, 1, Padding::kValid},
         ConvCase{2, 16, 6, 4, 2, Padding::kSame},
-        ConvCase{4, 16, 6, 2, 1, Padding::kValid}),
+        ConvCase{4, 16, 6, 2, 1, Padding::kValid},
+        // The one-sweep plain-source backward: odd W tail and many
+        // slabs, stride 2, valid padding, more taps than one register
+        // group holds (k = 4: 64 taps; IC = 3: 81 taps).
+        ConvCase{1, 16, 17, 3, 1, Padding::kSame},
+        ConvCase{1, 16, 9, 3, 2, Padding::kSame},
+        ConvCase{1, 16, 10, 3, 1, Padding::kValid},
+        ConvCase{1, 16, 9, 4, 1, Padding::kSame},
+        ConvCase{3, 32, 7, 3, 1, Padding::kSame}),
     case_name);
 
 TEST(Conv3d, RejectsBadConfigs) {

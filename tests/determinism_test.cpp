@@ -55,6 +55,51 @@ TEST_P(ConvThreadInvariance, ForwardAndBackwardBitIdentical) {
   EXPECT_EQ(tensor::max_abs_diff(serial, threaded), 0.0f);
 }
 
+// The backward sweep (LeakyReLU mask, bias and plain-source weight
+// taps) combines per-(ocb, od) slab partials in slab order, so the
+// weight and bias gradients at any thread count and grain equal the
+// serial ones bitwise — fused or not, with an out_d (11) that none of
+// the thread counts divides.
+TEST_P(ConvThreadInvariance, BackwardSweepGradsBitIdentical) {
+  const int threads = GetParam();
+  struct Case {
+    std::int64_t ic, oc, kernel;
+    bool fused;
+  };
+  for (const Case& c : {Case{1, 16, 3, false}, Case{1, 32, 3, true},
+                        Case{3, 16, 3, true}, Case{16, 32, 3, true}}) {
+    const auto run = [&](int nthreads, std::size_t grain) {
+      dnn::Conv3d conv("conv",
+                       dnn::Conv3dConfig{c.ic, c.oc, c.kernel, 1,
+                                         dnn::Padding::kSame});
+      if (c.fused) conv.fuse_leaky_relu(0.01f);
+      conv.plan(c.ic < 16 ? Shape{c.ic, 11, 11, 11}
+                          : Shape{c.ic / 16, 11, 11, 11, 16});
+      runtime::Rng rng(5);
+      conv.init_he(rng);
+      conv.standalone_state().intraop_grain = grain;
+      runtime::ThreadPool pool(static_cast<std::size_t>(nthreads));
+      Tensor src(conv.input_shape());
+      tensor::fill_normal(src, rng, 0.0f, 1.0f);
+      Tensor dst(conv.output_shape());
+      conv.forward(src, dst, pool);
+      Tensor ddst(conv.output_shape());
+      tensor::fill_normal(ddst, rng, 0.0f, 1.0f);
+      Tensor dsrc(conv.input_shape());
+      conv.backward(src, dst, ddst, dsrc, /*need_dsrc=*/false, pool);
+      std::vector<float> grads = conv.plain_weight_grads().to_vector();
+      const auto db = conv.bias_grad().to_vector();
+      grads.insert(grads.end(), db.begin(), db.end());
+      return grads;
+    };
+    const auto serial = run(1, 1);
+    const auto threaded = run(threads, 3);
+    ASSERT_EQ(serial.size(), threaded.size());
+    EXPECT_EQ(tensor::max_abs_diff(serial, threaded), 0.0f)
+        << "ic " << c.ic << " oc " << c.oc << " fused " << c.fused;
+  }
+}
+
 INSTANTIATE_TEST_SUITE_P(Threads, ConvThreadInvariance,
                          ::testing::Values(2, 3, 5, 8));
 

@@ -7,6 +7,7 @@
 // whole training trajectories may not differ in a single bit.
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <memory>
 #include <stdexcept>
 #include <vector>
@@ -85,8 +86,14 @@ TEST_P(FusedConvVsUnfused, ForwardAndBackwardBitIdentical) {
   EXPECT_EQ(tensor::max_abs_diff(fused_out.values(), act_out.values()),
             0.0f);
 
+  // A NaN output takes the slope in both masks (`y > 0` is false).
+  for (const std::size_t i : {std::size_t{0}, conv_out.size() / 2}) {
+    conv_out[i] = fused_out[i] = std::numeric_limits<float>::quiet_NaN();
+  }
+
   Tensor ddst(plain.output_shape());
   tensor::fill_normal(ddst, rng, 0.0f, 1.0f);
+  const Tensor ddst_in = ddst.clone();
 
   // Unfused chain: activation backward, then the conv backward.
   Tensor dact(plain.output_shape());
@@ -109,6 +116,19 @@ TEST_P(FusedConvVsUnfused, ForwardAndBackwardBitIdentical) {
                                  plain.bias_grad().values()),
             0.0f);
 
+  // Without dsrc (every network's first layer) the sweep may keep the
+  // masked ddst in registers; every tap group must still see the mask.
+  for (Tensor& grad : fused.standalone_state().grads) grad.zero();
+  Tensor ddst_again = ddst_in.clone();
+  fused.backward(src, fused_out, ddst_again, dsrc_fused,
+                 /*need_dsrc=*/false, pool);
+  EXPECT_EQ(tensor::max_abs_diff(fused.plain_weight_grads().values(),
+                                 dw_plain.values()),
+            0.0f);
+  EXPECT_EQ(tensor::max_abs_diff(fused.bias_grad().values(),
+                                 plain.bias_grad().values()),
+            0.0f);
+
   // A fused layer cannot run the dst-less backward overload.
   Tensor dsrc(fused.input_shape());
   EXPECT_THROW(fused.backward(src, ddst, dsrc, true, pool),
@@ -118,6 +138,8 @@ TEST_P(FusedConvVsUnfused, ForwardAndBackwardBitIdentical) {
 INSTANTIATE_TEST_SUITE_P(
     Shapes, FusedConvVsUnfused,
     ::testing::Values(FusedConvCase{1, 16, 8, 3, 1},   // plain-input path
+                      FusedConvCase{1, 16, 17, 3, 1},  // many slabs, odd W
+                      FusedConvCase{3, 16, 8, 3, 1},   // 3 tap groups
                       FusedConvCase{16, 32, 8, 3, 1},  // blocked path
                       FusedConvCase{32, 64, 8, 3, 2},  // strided
                       FusedConvCase{16, 32, 7, 4, 1}), // odd size, even k
