@@ -6,6 +6,7 @@
 #include <algorithm>
 #include <atomic>
 #include <chrono>
+#include <ostream>
 #include <span>
 #include <thread>
 #include <vector>
@@ -43,6 +44,15 @@ struct CommCase {
   std::size_t n;
   AllreduceAlgorithm algorithm;
 };
+
+// The printed value names each discovered ctest case; without this gtest
+// dumps the raw bytes, struct padding included, so names changed per run.
+void PrintTo(const CommCase& c, std::ostream* os) {
+  *os << "ranks" << c.nranks << "_n" << c.n
+      << (c.algorithm == AllreduceAlgorithm::kReduceScatter
+              ? "_reduce_scatter"
+              : "_central_root");
+}
 
 class AllreduceCorrectness : public ::testing::TestWithParam<CommCase> {};
 
