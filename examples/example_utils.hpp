@@ -8,6 +8,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <map>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -35,14 +36,21 @@ class Flags {
     }
   }
 
+  /// Numeric reads throw std::invalid_argument naming the flag and its
+  /// value when the value is not a number or carries trailing
+  /// characters (`--epochs=3x`).
   std::int64_t get_int(const std::string& key, std::int64_t fallback) const {
-    const auto it = values_.find(key);
-    return it == values_.end() ? fallback : std::stoll(it->second);
+    return parse(key, fallback, "an integer",
+                 [](const std::string& v, std::size_t* end) {
+                   return static_cast<std::int64_t>(std::stoll(v, end));
+                 });
   }
 
   double get_double(const std::string& key, double fallback) const {
-    const auto it = values_.find(key);
-    return it == values_.end() ? fallback : std::stod(it->second);
+    return parse(key, fallback, "a number",
+                 [](const std::string& v, std::size_t* end) {
+                   return std::stod(v, end);
+                 });
   }
 
   std::string get_string(const std::string& key,
@@ -52,6 +60,22 @@ class Flags {
   }
 
  private:
+  template <class T, class Parse>
+  T parse(const std::string& key, T fallback, const char* what,
+          Parse parse_value) const {
+    const auto it = values_.find(key);
+    if (it == values_.end()) return fallback;
+    std::size_t end = 0;
+    try {
+      const T value = parse_value(it->second, &end);
+      if (end == it->second.size()) return value;
+    } catch (const std::logic_error&) {
+      // out of range or no digits: reported below
+    }
+    throw std::invalid_argument("--" + key + "=" + it->second +
+                                ": expected " + what);
+  }
+
   std::map<std::string, std::string> values_;
 };
 

@@ -7,6 +7,7 @@
 #include <algorithm>
 #include <cstdio>
 #include <filesystem>
+#include <stdexcept>
 
 #include "core/checkpoint.hpp"
 #include "core/metrics.hpp"
@@ -32,9 +33,7 @@ std::vector<std::string> find_shards(const std::string& dir,
   return paths;
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
   using namespace cf;
   const examples::Flags flags(
       argc, argv,
@@ -108,4 +107,15 @@ int main(int argc, char** argv) {
               "(0.0022, 0.0094, 0.0096); 8192-node run "
               "(0.052, 0.014, 0.022)\n");
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  try {
+    return run(argc, argv);
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "predict_params: %s\n", e.what());
+    return 1;
+  }
 }

@@ -8,6 +8,7 @@
 //
 //   ./examples/quickstart [--sims=12] [--epochs=6] [--ranks=2]
 #include <cstdio>
+#include <stdexcept>
 
 #include "core/dataset_gen.hpp"
 #include "core/metrics.hpp"
@@ -15,15 +16,23 @@
 #include "core/trainer.hpp"
 #include "examples/example_utils.hpp"
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(int argc, char** argv) {
   using namespace cf;
   const examples::Flags flags(
       argc, argv,
       "usage: quickstart [--sims=N] [--epochs=N] [--ranks=N]");
 
+  const auto sims = static_cast<std::size_t>(flags.get_int("sims", 12));
+  core::TrainerConfig config;
+  config.nranks = static_cast<int>(flags.get_int("ranks", 2));
+  config.epochs = static_cast<int>(flags.get_int("epochs", 6));
+  config.base_lr = 4e-3;
+
   // 1. Simulate.
   core::DatasetGenConfig gen;
-  gen.simulations = static_cast<std::size_t>(flags.get_int("sims", 12));
+  gen.simulations = sims;
   gen.sim.grid = {64, 128.0};  // 64^3 particles in a 128 Mpc/h box
   gen.sim.voxels = 32;         // mean count 8 (the paper's 512^3->256^3
                                // density), split to 8 x 16^3 samples
@@ -42,11 +51,6 @@ int main(int argc, char** argv) {
   // 2. Train.
   data::InMemorySource train(std::move(dataset.train));
   data::InMemorySource val(std::move(dataset.val));
-
-  core::TrainerConfig config;
-  config.nranks = static_cast<int>(flags.get_int("ranks", 2));
-  config.epochs = static_cast<int>(flags.get_int("epochs", 6));
-  config.base_lr = 4e-3;
 
   core::Trainer trainer(core::cosmoflow_scaled(16), train, val, config);
   std::printf("training %s on %d thread-ranks, %d epochs...\n",
@@ -76,4 +80,15 @@ int main(int argc, char** argv) {
                 p.predicted[2], p.truth[2]);
   }
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  try {
+    return run(argc, argv);
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "quickstart: %s\n", e.what());
+    return 1;
+  }
 }

@@ -13,6 +13,7 @@
 #include <cstdio>
 #include <future>
 #include <memory>
+#include <stdexcept>
 #include <vector>
 
 #include "core/checkpoint.hpp"
@@ -25,7 +26,9 @@
 #include "serve/server.hpp"
 #include "tensor/tensor_ops.hpp"
 
-int main(int argc, char** argv) {
+namespace {
+
+int run(int argc, char** argv) {
   using namespace cf;
   const examples::Flags flags(
       argc, argv,
@@ -115,4 +118,15 @@ int main(int argc, char** argv) {
               latency.percentile(0.5) * 1e3,
               latency.percentile(0.99) * 1e3);
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  try {
+    return run(argc, argv);
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "serve_cosmoflow: %s\n", e.what());
+    return 1;
+  }
 }

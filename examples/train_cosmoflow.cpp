@@ -40,9 +40,7 @@ std::vector<std::string> find_shards(const std::string& dir,
   return paths;
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
   using namespace cf;
   const examples::Flags flags(
       argc, argv,
@@ -50,6 +48,29 @@ int main(int argc, char** argv) {
       "[--epochs=N] [--base-lr=F] [--min-lr=F] [--checkpoint=PATH] "
       "[--optimizer=adamlarc|adam|sgd] [--trace=PATH] "
       "[--step-log=PATH] [--no-overlap] [--no-memplan] [--bucket-kb=N]");
+
+  // Every flag is read before any data is touched, so a malformed
+  // value fails fast with its name.
+  core::TrainerConfig config;
+  config.nranks = static_cast<int>(flags.get_int("ranks", 4));
+  config.epochs = static_cast<int>(flags.get_int("epochs", 8));
+  config.base_lr = flags.get_double("base-lr", 2e-3);
+  config.min_lr = flags.get_double("min-lr", 1e-4);
+  config.pipeline.io_threads = 2;
+  config.overlap_comm = flags.get_int("no-overlap", 0) == 0;
+  // Liveness-planned diff/scratch arenas; --no-memplan is the ablation
+  // (bitwise identical, per-layer buffers).
+  config.memplan = flags.get_int("no-memplan", 0) == 0;
+  config.bucket_bytes =
+      static_cast<std::size_t>(flags.get_int("bucket-kb", 4096)) * 1024;
+  config.step_log_path = flags.get_string("step-log", "");
+  const std::string trace_path = flags.get_string("trace", "");
+  const std::string optimizer = flags.get_string("optimizer", "adamlarc");
+  if (optimizer == "adam") {
+    config.optimizer = core::OptimizerKind::kAdam;
+  } else if (optimizer == "sgd") {
+    config.optimizer = core::OptimizerKind::kSgdMomentum;
+  }
 
   const std::string dir = flags.get_string("data", "/tmp/cosmoflow_data");
   const auto train_shards = find_shards(dir, "train");
@@ -72,27 +93,6 @@ int main(int argc, char** argv) {
   // Infer the input size from the first sample.
   const data::Sample first = train.make_reader()->get(0);
   const std::int64_t dhw = first.volume.shape()[1];
-
-  core::TrainerConfig config;
-  config.nranks = static_cast<int>(flags.get_int("ranks", 4));
-  config.epochs = static_cast<int>(flags.get_int("epochs", 8));
-  config.base_lr = flags.get_double("base-lr", 2e-3);
-  config.min_lr = flags.get_double("min-lr", 1e-4);
-  config.pipeline.io_threads = 2;
-  config.overlap_comm = flags.get_int("no-overlap", 0) == 0;
-  // Liveness-planned diff/scratch arenas; --no-memplan is the ablation
-  // (bitwise identical, per-layer buffers).
-  config.memplan = flags.get_int("no-memplan", 0) == 0;
-  config.bucket_bytes =
-      static_cast<std::size_t>(flags.get_int("bucket-kb", 4096)) * 1024;
-  config.step_log_path = flags.get_string("step-log", "");
-  const std::string trace_path = flags.get_string("trace", "");
-  const std::string optimizer = flags.get_string("optimizer", "adamlarc");
-  if (optimizer == "adam") {
-    config.optimizer = core::OptimizerKind::kAdam;
-  } else if (optimizer == "sgd") {
-    config.optimizer = core::OptimizerKind::kSgdMomentum;
-  }
 
   // --preset picks a stock topology by name (cosmoflow-128 for the
   // paper's canonical network); the default infers one from the data's
@@ -181,4 +181,15 @@ int main(int argc, char** argv) {
               "--checkpoint=%s\n",
               dir.c_str(), ckpt.c_str());
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  try {
+    return run(argc, argv);
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "train_cosmoflow: %s\n", e.what());
+    return 1;
+  }
 }

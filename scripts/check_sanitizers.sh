@@ -21,8 +21,12 @@
 #           suites plus a bench_serve --smoke traffic run.
 #   ubsan — pointer-arithmetic-heavy paths: fused conv/dense epilogue
 #           kernels, blocked optimizer sweeps, layout/reorder code.
+#   portable — no sanitizer: a -DCOSMOFLOW_NATIVE_ARCH=OFF build, so the
+#           kernels' portable (non-AVX-512) tiers — the paired conv
+#           forward, the backward sweep, the bf16 converters — run the
+#           conv, fusion, precision, intra-op and graph suites.
 #
-# Usage: check_sanitizers.sh [asan|tsan|ubsan|all] [repo_root]
+# Usage: check_sanitizers.sh [asan|tsan|ubsan|portable|all] [repo_root]
 set -eu
 
 which="${1:-all}"
@@ -79,8 +83,14 @@ run_one() {
       # are exactly the unsigned/pointer arithmetic UBSan checks.
       filter='Shapes/FusedConvVsUnfused*.*:FusedDenseVsUnfused*.*:Fusion*.*:*/BlockedConvVsReference.*:Threads/ConvThreadInvariance*.*:Adam*.*:LarcFixture*.*:LarcAdamIntegration*.*:SgdMomentum*.*:Network*.*:Context*.*:Flatten*.*:Precision*.*:Intraop*.*:*/Intraop*.*:Graph*.*:Crc32c*.*:Cfrecord*.*:CfrecordFuzz*.*'
       ;;
+    portable)
+      cmake_flag="-DCOSMOFLOW_NATIVE_ARCH=OFF"
+      env_name=""
+      env_value=""
+      filter='*/BlockedConvVsReference.*:Conv3d*.*:Threads/ConvThreadInvariance*.*:Shapes/FusedConvVsUnfused*.*:FusedDenseVsUnfused*.*:Fusion*.*:Precision*.*:Intraop*.*:*/Intraop*.*:Graph*.*'
+      ;;
     *)
-      echo "unknown sanitizer '$san' (expected asan, tsan or ubsan)" >&2
+      echo "unknown leg '$san' (expected asan, tsan, ubsan or portable)" >&2
       return 2
       ;;
   esac
@@ -90,7 +100,7 @@ run_one() {
     -DCMAKE_BUILD_TYPE=RelWithDebInfo >/dev/null
   cmake --build "$build_dir" --target cosmoflow_tests -j "$(nproc)"
 
-  env "$env_name=$env_value" \
+  env ${env_name:+"$env_name=$env_value"} \
     "$build_dir/tests/cosmoflow_tests" --gtest_filter="$filter"
 
   # The serving path under real traffic: three short traffic phases
@@ -116,7 +126,8 @@ run_one() {
     env "$env_name=$env_value" "$build_dir/bench/bench_pipeline" --smoke \
       --io-threads=2
   else
-    env "$env_name=$env_value" "$build_dir/bench/bench_pipeline" --smoke
+    env ${env_name:+"$env_name=$env_value"} \
+      "$build_dir/bench/bench_pipeline" --smoke
   fi
 
   echo "$san: clean"
@@ -124,15 +135,16 @@ run_one() {
 
 case "$which" in
   all)
-    for san in asan tsan ubsan; do
+    for san in asan tsan ubsan portable; do
       run_one "$san"
     done
     ;;
-  asan|tsan|ubsan)
+  asan|tsan|ubsan|portable)
     run_one "$which"
     ;;
   *)
-    echo "usage: check_sanitizers.sh [asan|tsan|ubsan|all] [repo_root]" >&2
+    echo "usage: check_sanitizers.sh [asan|tsan|ubsan|portable|all]" \
+      "[repo_root]" >&2
     exit 2
     ;;
 esac

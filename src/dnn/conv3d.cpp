@@ -46,84 +46,36 @@ namespace {
 
 constexpr std::int64_t kB = kChannelBlock;  // 16
 
-/// dst[ow][oc] += sum_ic w[ic][oc] * src[ow*stride][ic] for a row of
-/// `count` output positions; `w` is one 16x16 tile.
-///
-/// Algorithm 1 keeps many independent accumulator registers in flight
-/// so the FMA chains are throughput- rather than latency-bound (the
-/// paper blocks 28 output positions; 8 x 16-lane accumulators fill the
-/// AVX-512 register file here, with the weight row shared by all of
-/// them). The local accumulator arrays stay in registers once the
-/// inner loops are unrolled.
+/// Output positions held in registers per row block (Algorithm 1
+/// register-blocks the output width; the paper uses 28 positions).
 constexpr std::int64_t kOwBlock = 8;
 
 #if defined(__AVX512F__)
 
-inline void micro_fwd_row(float* __restrict acc,
-                          const float* __restrict src_row,
-                          const float* __restrict w, std::int64_t count,
-                          std::int64_t stride) {
-  std::int64_t ow = 0;
-  // 8 independent 16-lane accumulators keep the FMA pipes saturated;
-  // one weight row is shared by all 8 output positions.
-  for (; ow + kOwBlock <= count; ow += kOwBlock) {
-    float* d = acc + ow * kB;
-    const float* s = src_row + ow * stride * kB;
-    __m512 a0 = _mm512_loadu_ps(d + 0 * kB);
-    __m512 a1 = _mm512_loadu_ps(d + 1 * kB);
-    __m512 a2 = _mm512_loadu_ps(d + 2 * kB);
-    __m512 a3 = _mm512_loadu_ps(d + 3 * kB);
-    __m512 a4 = _mm512_loadu_ps(d + 4 * kB);
-    __m512 a5 = _mm512_loadu_ps(d + 5 * kB);
-    __m512 a6 = _mm512_loadu_ps(d + 6 * kB);
-    __m512 a7 = _mm512_loadu_ps(d + 7 * kB);
-    const std::int64_t sstep = stride * kB;
-    for (int ic = 0; ic < kB; ++ic) {
-      const __m512 wv = _mm512_loadu_ps(w + ic * kB);
-      a0 = _mm512_fmadd_ps(wv, _mm512_set1_ps(s[0 * sstep + ic]), a0);
-      a1 = _mm512_fmadd_ps(wv, _mm512_set1_ps(s[1 * sstep + ic]), a1);
-      a2 = _mm512_fmadd_ps(wv, _mm512_set1_ps(s[2 * sstep + ic]), a2);
-      a3 = _mm512_fmadd_ps(wv, _mm512_set1_ps(s[3 * sstep + ic]), a3);
-      a4 = _mm512_fmadd_ps(wv, _mm512_set1_ps(s[4 * sstep + ic]), a4);
-      a5 = _mm512_fmadd_ps(wv, _mm512_set1_ps(s[5 * sstep + ic]), a5);
-      a6 = _mm512_fmadd_ps(wv, _mm512_set1_ps(s[6 * sstep + ic]), a6);
-      a7 = _mm512_fmadd_ps(wv, _mm512_set1_ps(s[7 * sstep + ic]), a7);
-    }
-    _mm512_storeu_ps(d + 0 * kB, a0);
-    _mm512_storeu_ps(d + 1 * kB, a1);
-    _mm512_storeu_ps(d + 2 * kB, a2);
-    _mm512_storeu_ps(d + 3 * kB, a3);
-    _mm512_storeu_ps(d + 4 * kB, a4);
-    _mm512_storeu_ps(d + 5 * kB, a5);
-    _mm512_storeu_ps(d + 6 * kB, a6);
-    _mm512_storeu_ps(d + 7 * kB, a7);
-  }
-  for (; ow < count; ++ow) {
-    const float* s = src_row + ow * stride * kB;
-    float* d = acc + ow * kB;
-    __m512 a = _mm512_loadu_ps(d);
-    for (int ic = 0; ic < kB; ++ic) {
-      a = _mm512_fmadd_ps(_mm512_loadu_ps(w + ic * kB),
-                          _mm512_set1_ps(s[ic]), a);
-    }
-    _mm512_storeu_ps(d, a);
-  }
-}
-
 /// acc[ic][oc] += src[ow*stride][ic] * ddst[ow][oc] outer products over
-/// a row (backward-weights micro-kernel). The 16x16 accumulator tile
-/// lives in 16 zmm registers across the whole row.
-inline void micro_bww_row(float* __restrict acc,
-                          const float* __restrict src_row,
-                          const float* __restrict ddst_row,
-                          std::int64_t count, std::int64_t stride) {
+/// the `nd` x `nh` rows of one weight tap (backward-weights
+/// micro-kernel). ddst rows are contiguous; source row (d, h) starts at
+/// src + d * sdstep + h * shstep. The 16x16 accumulator tile lives in
+/// 16 zmm registers across every row, so narrow layers do not pay a
+/// tile load and store per short row.
+inline void micro_bww_tap(float* __restrict acc, const float* __restrict src,
+                          const float* __restrict ddst, std::int64_t nd,
+                          std::int64_t nh, std::int64_t count,
+                          std::int64_t stride, std::int64_t sdstep,
+                          std::int64_t shstep) {
   __m512 a[kB];
   for (int ic = 0; ic < kB; ++ic) a[ic] = _mm512_loadu_ps(acc + ic * kB);
-  for (std::int64_t ow = 0; ow < count; ++ow) {
-    const float* s = src_row + ow * stride * kB;
-    const __m512 dv = _mm512_loadu_ps(ddst_row + ow * kB);
-    for (int ic = 0; ic < kB; ++ic) {
-      a[ic] = _mm512_fmadd_ps(dv, _mm512_set1_ps(s[ic]), a[ic]);
+  for (std::int64_t d = 0; d < nd; ++d) {
+    for (std::int64_t h = 0; h < nh; ++h) {
+      const float* src_row = src + d * sdstep + h * shstep;
+      const float* ddst_row = ddst + (d * nh + h) * count * kB;
+      for (std::int64_t ow = 0; ow < count; ++ow) {
+        const float* s = src_row + ow * stride * kB;
+        const __m512 dv = _mm512_loadu_ps(ddst_row + ow * kB);
+        for (int ic = 0; ic < kB; ++ic) {
+          a[ic] = _mm512_fmadd_ps(dv, _mm512_set1_ps(s[ic]), a[ic]);
+        }
+      }
     }
   }
   for (int ic = 0; ic < kB; ++ic) _mm512_storeu_ps(acc + ic * kB, a[ic]);
@@ -131,60 +83,171 @@ inline void micro_bww_row(float* __restrict acc,
 
 #else  // portable fallback
 
-inline void micro_fwd_row(float* __restrict acc,
-                          const float* __restrict src_row,
-                          const float* __restrict w, std::int64_t count,
-                          std::int64_t stride) {
-  std::int64_t ow = 0;
-  for (; ow + kOwBlock <= count; ow += kOwBlock) {
-    float a[kOwBlock][kB];
-    for (int j = 0; j < kOwBlock; ++j) {
-      for (int oc = 0; oc < kB; ++oc) a[j][oc] = acc[(ow + j) * kB + oc];
-    }
-    const float* s = src_row + ow * stride * kB;
-    for (int ic = 0; ic < kB; ++ic) {
-      const float* wrow = w + ic * kB;
-      for (int j = 0; j < kOwBlock; ++j) {
-        const float sv = s[j * stride * kB + ic];
-        for (int oc = 0; oc < kB; ++oc) a[j][oc] += wrow[oc] * sv;
+inline void micro_bww_tap(float* __restrict acc, const float* __restrict src,
+                          const float* __restrict ddst, std::int64_t nd,
+                          std::int64_t nh, std::int64_t count,
+                          std::int64_t stride, std::int64_t sdstep,
+                          std::int64_t shstep) {
+  for (std::int64_t d = 0; d < nd; ++d) {
+    for (std::int64_t h = 0; h < nh; ++h) {
+      const float* src_row = src + d * sdstep + h * shstep;
+      const float* ddst_row = ddst + (d * nh + h) * count * kB;
+      for (std::int64_t ow = 0; ow < count; ++ow) {
+        const float* s = src_row + ow * stride * kB;
+        const float* dv = ddst_row + ow * kB;
+        for (int ic = 0; ic < kB; ++ic) {
+          const float sv = s[ic];
+          float* arow = acc + ic * kB;
+          for (int oc = 0; oc < kB; ++oc) arow[oc] += dv[oc] * sv;
+        }
       }
     }
-    for (int j = 0; j < kOwBlock; ++j) {
-      for (int oc = 0; oc < kB; ++oc) acc[(ow + j) * kB + oc] = a[j][oc];
-    }
   }
-  for (; ow < count; ++ow) {
-    const float* s = src_row + ow * stride * kB;
-    float a[kB];
-    for (int oc = 0; oc < kB; ++oc) a[oc] = acc[ow * kB + oc];
-    for (int ic = 0; ic < kB; ++ic) {
-      const float sv = s[ic];
-      const float* wrow = w + ic * kB;
-      for (int oc = 0; oc < kB; ++oc) a[oc] += wrow[oc] * sv;
-    }
-    for (int oc = 0; oc < kB; ++oc) acc[ow * kB + oc] = a[oc];
-  }
-}
-
-inline void micro_bww_row(float* __restrict acc,
-                          const float* __restrict src_row,
-                          const float* __restrict ddst_row,
-                          std::int64_t count, std::int64_t stride) {
-  float local[kB * kB];
-  for (int i = 0; i < kB * kB; ++i) local[i] = acc[i];
-  for (std::int64_t ow = 0; ow < count; ++ow) {
-    const float* s = src_row + ow * stride * kB;
-    const float* d = ddst_row + ow * kB;
-    for (int ic = 0; ic < kB; ++ic) {
-      const float sv = s[ic];
-      float* arow = local + ic * kB;
-      for (int oc = 0; oc < kB; ++oc) arow[oc] += d[oc] * sv;
-    }
-  }
-  for (int i = 0; i < kB * kB; ++i) acc[i] = local[i];
 }
 
 #endif  // __AVX512F__
+
+/// One tap of a forward row's tap list: `s` is the padded source row of
+/// this (icb, kd, kh, kw) at ow = 0, `w0`/`w1` the 16ic x 16oc weight
+/// tiles of the two output-channel blocks of the pair.
+template <class Wt>
+struct PairTap {
+  const float* s;
+  const Wt* w0;
+  const Wt* w1;
+};
+
+#if defined(__AVX512F__)
+
+inline __m512 load_w16(const float* p) { return _mm512_loadu_ps(p); }
+inline __m512 load_w16(const bf16_t* p) { return bf16_load_16(p); }
+inline void store_out16(float* p, __m512 v) { _mm512_storeu_ps(p, v); }
+inline void store_out16(bf16_t* p, __m512 v) { bf16_store_16(p, v); }
+
+/// Paired held-accumulator forward kernel: N output positions x 2
+/// output-channel blocks of accumulators (16 zmm registers at N = 8),
+/// initialized from the bias and held across every tap of the row, so
+/// each source broadcast feeds two FMAs and the row is stored once.
+/// The fused LeakyReLU (`v > 0 ? v : slope * v`, NaN included) is
+/// applied in registers before the store, which narrows to bf16 with
+/// RNE when Ot is bf16_t. `soff` shifts every tap source to this
+/// position block; `dual` is false for the duplicated odd trailing
+/// block, whose second accumulator set is computed but not stored.
+/// Positions are `sstep` floats apart in the source; S > 0 fixes it at
+/// compile time to S * 16 so all N broadcasts of an ic address one
+/// base register (a runtime step costs one pointer register per
+/// position, which spills).
+template <int N, int S, class Wt, class Ot>
+void fwd_row_pair(Ot* __restrict d0, Ot* __restrict d1, bool dual,
+                  const float* __restrict bias0,
+                  const float* __restrict bias1, const PairTap<Wt>* taps,
+                  std::int64_t ntaps, std::int64_t soff, std::int64_t sstep,
+                  bool fused, float slope) {
+  if constexpr (S > 0) sstep = S * kB;
+  __m512 a[N], b[N];
+#pragma GCC unroll 8
+  for (int j = 0; j < N; ++j) {
+    a[j] = _mm512_loadu_ps(bias0);
+    b[j] = _mm512_loadu_ps(bias1);
+  }
+  for (std::int64_t t = 0; t < ntaps; ++t) {
+    const float* s = taps[t].s + soff;
+    const Wt* w0 = taps[t].w0;
+    const Wt* w1 = taps[t].w1;
+    for (int ic = 0; ic < kB; ++ic) {
+      const __m512 wv0 = load_w16(w0 + ic * kB);
+      const __m512 wv1 = load_w16(w1 + ic * kB);
+#pragma GCC unroll 8
+      for (int j = 0; j < N; ++j) {
+        const __m512 sv = _mm512_set1_ps(s[j * sstep + ic]);
+        a[j] = _mm512_fmadd_ps(wv0, sv, a[j]);
+        b[j] = _mm512_fmadd_ps(wv1, sv, b[j]);
+      }
+    }
+  }
+  const __m512 vslope = _mm512_set1_ps(slope);
+  const auto lrelu = [&](__m512 v) {
+    return fused ? _mm512_mask_blend_ps(
+                       _mm512_cmp_ps_mask(v, _mm512_setzero_ps(),
+                                          _CMP_GT_OQ),
+                       _mm512_mul_ps(vslope, v), v)
+                 : v;
+  };
+#pragma GCC unroll 8
+  for (int j = 0; j < N; ++j) store_out16(d0 + j * kB, lrelu(a[j]));
+  if (!dual) return;
+#pragma GCC unroll 8
+  for (int j = 0; j < N; ++j) store_out16(d1 + j * kB, lrelu(b[j]));
+}
+
+#else  // portable fallback
+
+inline float widen(float v) { return v; }
+inline float widen(bf16_t v) { return bf16_to_float(v); }
+inline void narrow(float v, float* p) { *p = v; }
+inline void narrow(float v, bf16_t* p) { *p = float_to_bf16(v); }
+
+template <int N, int S, class Wt, class Ot>
+void fwd_row_pair(Ot* __restrict d0, Ot* __restrict d1, bool dual,
+                  const float* __restrict bias0,
+                  const float* __restrict bias1, const PairTap<Wt>* taps,
+                  std::int64_t ntaps, std::int64_t soff, std::int64_t sstep,
+                  bool fused, float slope) {
+  float a[2][N][kB];
+  for (int j = 0; j < N; ++j) {
+    std::memcpy(a[0][j], bias0, sizeof(a[0][j]));
+    std::memcpy(a[1][j], bias1, sizeof(a[1][j]));
+  }
+  for (std::int64_t t = 0; t < ntaps; ++t) {
+    const float* s = taps[t].s + soff;
+    for (int ic = 0; ic < kB; ++ic) {
+      const Wt* w0 = taps[t].w0 + ic * kB;
+      const Wt* w1 = taps[t].w1 + ic * kB;
+      for (int j = 0; j < N; ++j) {
+        const float sv = s[j * sstep + ic];
+        for (int oc = 0; oc < kB; ++oc) {
+          a[0][j][oc] += widen(w0[oc]) * sv;
+          a[1][j][oc] += widen(w1[oc]) * sv;
+        }
+      }
+    }
+  }
+  for (int p = 0; p < (dual ? 2 : 1); ++p) {
+    Ot* d = p == 0 ? d0 : d1;
+    for (int j = 0; j < N; ++j) {
+      for (int oc = 0; oc < kB; ++oc) {
+        const float v = a[p][j][oc];
+        narrow(fused && !(v > 0.0f) ? slope * v : v, d + j * kB + oc);
+      }
+    }
+  }
+}
+
+#endif  // __AVX512F__
+
+/// One output row of the paired forward over 8-, 4- and 1-wide
+/// position blocks. S is the conv stride when it is 1 or 2, else 0
+/// (see fwd_row_pair).
+template <int S, class Wt, class Ot>
+void fwd_row(Ot* d0, Ot* d1, bool dual, const float* bias0,
+             const float* bias1, const PairTap<Wt>* taps, std::int64_t ntaps,
+             std::int64_t count, std::int64_t stride, bool fused,
+             float slope) {
+  const std::int64_t sstep = stride * kB;
+  std::int64_t ow = 0;
+  for (; ow + kOwBlock <= count; ow += kOwBlock) {
+    fwd_row_pair<kOwBlock, S>(d0 + ow * kB, d1 + ow * kB, dual, bias0, bias1,
+                              taps, ntaps, ow * sstep, sstep, fused, slope);
+  }
+  for (; ow + 4 <= count; ow += 4) {
+    fwd_row_pair<4, S>(d0 + ow * kB, d1 + ow * kB, dual, bias0, bias1, taps,
+                       ntaps, ow * sstep, sstep, fused, slope);
+  }
+  for (; ow < count; ++ow) {
+    fwd_row_pair<1, S>(d0 + ow * kB, d1 + ow * kB, dual, bias0, bias1, taps,
+                       ntaps, ow * sstep, sstep, fused, slope);
+  }
+}
 
 /// One ddst row of the backward sweep (Conv3d::backward_sweep): mask
 /// each ddst vector with the fused LeakyReLU derivative when `yrow` is
@@ -304,8 +367,8 @@ inline void apply_eltwise_row(float* __restrict row, std::int64_t n,
 }
 
 /// acc[ow*astride][ic] += sum_oc wt[oc][ic] * ddst[ow][oc] — the
-/// backward-data micro-kernel in *gather* form: micro_fwd_row with the
-/// src/dst roles swapped. `wt` is one transposed 16oc x 16ic weight
+/// backward-data micro-kernel in *gather* form: the forward kernel with
+/// the src/dst roles swapped. `wt` is one transposed 16oc x 16ic weight
 /// tile, ddst is read at unit (16-float) stride and the accumulator row
 /// — a local, zero-initialized copy of one unpadded dsrc row — is
 /// addressed at `astride` = conv stride. Because each dsrc row is
@@ -682,7 +745,7 @@ void Conv3d::forward(const Tensor& src, Tensor& dst, LayerExecState& exec,
     forward_plain_src(src, dst, exec.workspace.data(), pool,
                       exec.intraop_grain);
   } else {
-    forward_blocked(src, dst, exec.workspace.data(), pool,
+    forward_blocked(exec.workspace.data(), weights_.data(), dst.data(), pool,
                     exec.intraop_grain);
   }
 }
@@ -806,66 +869,78 @@ void Conv3d::backward_sweep(const Tensor* dst, Tensor& ddst, bool need_dsrc,
   }
 }
 
-void Conv3d::forward_blocked(const Tensor& /*src*/, Tensor& dst,
-                             const float* padded,
+template <class Wt, class Ot>
+void Conv3d::forward_blocked(const float* padded, const Wt* weights, Ot* dst,
                              runtime::ThreadPool& pool,
                              std::size_t grain) const {
   const std::int64_t icb_count = config_.in_channels / kB;
   const std::int64_t ocb_count = config_.out_channels / kB;
   const std::int64_t k = config_.kernel;
   const std::int64_t stride = config_.stride;
-  const std::int64_t dp = pd_;
-  const std::int64_t hp = ph_;
-  const std::int64_t wp = pw_;
+  const auto row_kernel = stride == 1   ? fwd_row<1, Wt, Ot>
+                          : stride == 2 ? fwd_row<2, Wt, Ot>
+                                        : fwd_row<0, Wt, Ot>;
+  const std::int64_t pair_count = (ocb_count + 1) / 2;
+  const std::int64_t slab = icb_count * k * k * k * kB * kB;
 
-  // Thread decomposition over the output voxel space: one task per
-  // (ocb, od) slab.
+  // Jobs over (ocb pair, od) slabs. Each worker flattens the window into
+  // a tap list per output row (icb -> kd -> kh -> kw, the summation
+  // order of every output element) and runs the paired kernel over 8-,
+  // 4- and 1-wide position blocks, specialized for strides 1 and 2. An
+  // odd trailing ocb duplicates its tile into both slots and discards
+  // the second accumulator set.
   pool.parallel_for(
-      static_cast<std::size_t>(ocb_count * out_d_),
+      static_cast<std::size_t>(pair_count * out_d_),
       [&](std::size_t begin, std::size_t end, std::size_t) {
-        std::vector<float> acc(static_cast<std::size_t>(out_w_) * kB);
+        std::vector<PairTap<Wt>> taps(
+            static_cast<std::size_t>(icb_count * k * k * k));
         for (std::size_t job = begin; job < end; ++job) {
-          const std::int64_t ocb = static_cast<std::int64_t>(job) / out_d_;
+          const std::int64_t ocb0 = static_cast<std::int64_t>(job) / out_d_ * 2;
           const std::int64_t od = static_cast<std::int64_t>(job) % out_d_;
+          const std::int64_t ocb1 = std::min(ocb0 + 1, ocb_count - 1);
+          const bool dual = ocb1 != ocb0;
+          const float* b0 = bias_.data() + ocb0 * kB;
+          const float* b1 = bias_.data() + ocb1 * kB;
           for (std::int64_t oh = 0; oh < out_h_; ++oh) {
-            // Bias-initialize the accumulator row.
-            const float* b = bias_.data() + ocb * kB;
-            for (std::int64_t ow = 0; ow < out_w_; ++ow) {
-              std::memcpy(acc.data() + ow * kB, b, kB * sizeof(float));
-            }
+            std::size_t ntaps = 0;
             for (std::int64_t icb = 0; icb < icb_count; ++icb) {
               for (std::int64_t kd = 0; kd < k; ++kd) {
-                const std::int64_t id = od * stride + kd;
                 for (std::int64_t kh = 0; kh < k; ++kh) {
-                  const std::int64_t ih = oh * stride + kh;
                   const float* srow =
-                      padded + (((icb * dp + id) * hp + ih) * wp) * kB;
-                  const float* wtile =
-                      weights_.data() +
-                      ((((ocb * icb_count + icb) * k + kd) * k + kh) * k) *
-                          kB * kB;
+                      padded + (((icb * pd_ + od * stride + kd) * ph_ +
+                                 oh * stride + kh) *
+                                pw_) *
+                                   kB;
+                  const std::int64_t woff =
+                      (((icb * k + kd) * k + kh) * k) * kB * kB;
                   for (std::int64_t kw = 0; kw < k; ++kw) {
-                    micro_fwd_row(acc.data(), srow + kw * kB,
-                                  wtile + kw * kB * kB, out_w_, stride);
+                    taps[ntaps++] = {srow + kw * kB,
+                                     weights + ocb0 * slab + woff +
+                                         kw * kB * kB,
+                                     weights + ocb1 * slab + woff +
+                                         kw * kB * kB};
                   }
                 }
               }
             }
-            float* drow = dst.data() +
-                          (((ocb * out_d_ + od) * out_h_ + oh) * out_w_) *
-                              kB;
-            if (fused_) {
-              store_row_eltwise(drow, acc.data(), out_w_ * kB, slope_);
-            } else {
-              std::memcpy(drow, acc.data(),
-                          static_cast<std::size_t>(out_w_) * kB *
-                              sizeof(float));
-            }
+            const std::int64_t row = (od * out_h_ + oh) * out_w_ * kB;
+            Ot* d0 = dst + ocb0 * out_d_ * out_h_ * out_w_ * kB + row;
+            Ot* d1 = dst + ocb1 * out_d_ * out_h_ * out_w_ * kB + row;
+            row_kernel(d0, d1, dual, b0, b1, taps.data(),
+                       static_cast<std::int64_t>(ntaps), out_w_, stride,
+                       fused_, slope_);
           }
         }
       },
       grain);
 }
+
+template void Conv3d::forward_blocked(const float*, const float*, float*,
+                                      runtime::ThreadPool&,
+                                      std::size_t) const;
+template void Conv3d::forward_blocked(const float*, const bf16_t*, bf16_t*,
+                                      runtime::ThreadPool&,
+                                      std::size_t) const;
 
 #if defined(__AVX512F__)
 
@@ -1058,18 +1133,12 @@ void Conv3d::backward_weights_blocked(const Tensor& ddst,
           for (std::int64_t kh = 0; kh < k; ++kh) {
             for (std::int64_t kw = 0; kw < k; ++kw) {
               std::fill(acc.begin(), acc.end(), 0.0f);
-              for (std::int64_t od = 0; od < out_d_; ++od) {
-                const std::int64_t id = od * stride + kd;
-                for (std::int64_t oh = 0; oh < out_h_; ++oh) {
-                  const std::int64_t ih = oh * stride + kh;
-                  const float* drow =
-                      ddst.data() +
-                      (((ocb * out_d_ + od) * out_h_ + oh) * out_w_) * kB;
-                  const float* srow =
-                      padded + (((icb * dp + id) * hp + ih) * wp + kw) * kB;
-                  micro_bww_row(acc.data(), srow, drow, out_w_, stride);
-                }
-              }
+              micro_bww_tap(
+                  acc.data(),
+                  padded + (((icb * dp + kd) * hp + kh) * wp + kw) * kB,
+                  ddst.data() + ocb * out_d_ * out_h_ * out_w_ * kB, out_d_,
+                  out_h_, out_w_, stride, stride * hp * wp * kB,
+                  stride * wp * kB);
               float* wtile =
                   weight_grad.data() +
                   ((((ocb * icb_count + icb) * k + kd) * k + kh) * k + kw) *

@@ -6,8 +6,9 @@
 //  * blocked — the production kernels implementing Algorithm 1 of the
 //    paper: activations in nCdhw16c, weights in OIdhw16i16o, innermost
 //    (ow, ic, oc) loops unrolled/vectorized to AVX-512 FMAs, threading
-//    over (channel-block, output-depth) slabs (forward and the backward
-//    mask/bias/plain-source weight sweep), input-depth slabs
+//    over (channel-block pair, output-depth) slabs (blocked forward),
+//    (channel-block, output-depth) slabs (plain-source forward and the
+//    backward mask/bias/plain-source weight sweep), input-depth slabs
 //    (backward-data) and channel-block tiles (blocked backward-weights).
 //
 // Kernels are cubic and "same"/"valid" padding is resolved per spatial
@@ -76,7 +77,8 @@ class Conv3d final : public Layer {
 
   // Reduced-precision inference forwards (dnn/forward_rp.cpp): bf16
   // weights+activations with fp32 accumulation, and weights-only int8
-  // with per-output-channel scales. fp32 kernels above are untouched.
+  // with per-output-channel scales. A blocked bf16 conv runs the fp32
+  // forward's kernel (forward_blocked) with bf16 loads and stores.
   bool supports_precision(Precision p) const override {
     static_cast<void>(p);
     return true;
@@ -154,9 +156,12 @@ class Conv3d final : public Layer {
   // parallel_for as the minimum jobs per chunk. It only changes how the
   // fixed job grid is partitioned, never the per-job arithmetic, so any
   // value is bitwise-equivalent (DESIGN.md §2.6).
-  void forward_blocked(const tensor::Tensor& src, tensor::Tensor& dst,
-                       const float* padded, runtime::ThreadPool& pool,
-                       std::size_t grain) const;
+  /// The blocked (IC >= 16) forward of both precisions: fp32 weights
+  /// and output (Wt = Ot = float) or bf16 (Wt = Ot = bf16_t), over the
+  /// fp32 padded source, on the (ocb pair, od) slab grid.
+  template <class Wt, class Ot>
+  void forward_blocked(const float* padded, const Wt* weights, Ot* dst,
+                       runtime::ThreadPool& pool, std::size_t grain) const;
   void forward_plain_src(const tensor::Tensor& src, tensor::Tensor& dst,
                          const float* padded, runtime::ThreadPool& pool,
                          std::size_t grain) const;

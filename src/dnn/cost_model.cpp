@@ -11,17 +11,24 @@ namespace cf::dnn {
 
 namespace {
 
-/// Job-grid size of a layer's dominant parallel pass, mirroring the
-/// decompositions the kernels actually dispatch (DESIGN.md §2.6):
-/// conv/pool partition over (channel-block, output-depth) slabs, dense
-/// over its fixed 16 reduction chunks, everything else over ~4096-item
-/// elementwise blocks.
+/// Job-grid size of a layer's forward pass, the grid the kernels
+/// actually dispatch (DESIGN.md §2.6). It is one number per layer and
+/// its grain is shared by every pass, so it counts the forward — the
+/// one pass inference and training both run: a blocked conv (IC >= 16)
+/// partitions over (output-channel-block pair, output-depth) slabs, a
+/// plain-source conv and pool over (channel-block, output-depth) slabs,
+/// dense over its fixed 16 reduction chunks, everything else over
+/// ~4096-item elementwise blocks. The conv backward passes run other
+/// grids — the sweep (ocb, od), backward-weights (ocb, icb, kd),
+/// backward-data (icb, id) — with the same grain.
 std::size_t job_grid_size(const Layer& layer) {
   const tensor::Shape& out = layer.output_shape();
   const std::string kind = layer.kind();
   if ((kind == "conv" || kind == "pool") && out.rank() == 5) {
+    const bool paired = kind == "conv" && layer.input_shape().rank() == 5;
+    const std::int64_t blocks = paired ? (out[0] + 1) / 2 : out[0];
     return static_cast<std::size_t>(
-        std::max<std::int64_t>(1, out[0] * out[1]));
+        std::max<std::int64_t>(1, blocks * out[1]));
   }
   if (kind == "dense") return 16;  // Dense's fixed partial-chunk table
   return static_cast<std::size_t>(

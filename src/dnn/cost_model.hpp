@@ -35,7 +35,7 @@ struct LayerCost {
   std::string kind;          // "conv", "pool", "dense", ...
   std::int64_t flops = 0;    // per forward pass (+ backward if training)
   std::int64_t bytes = 0;    // activation traffic estimate
-  std::size_t jobs = 1;      // dominant pass's parallel job-grid size
+  std::size_t jobs = 1;      // the forward pass's parallel job-grid size
   double serial_seconds = 0; // predicted single-thread pass time
 };
 

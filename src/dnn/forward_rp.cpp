@@ -1,10 +1,11 @@
 // Reduced-precision inference forwards (DESIGN.md §2.5).
 //
 // Every kernel here is a forward-only sibling of the fp32 engines in
-// conv3d.cpp / dense.cpp / avgpool3d.cpp / flatten.cpp, kept in one
-// translation unit so the fp32 files stay byte-for-byte untouched (the
-// precision policy: fp32 is the bitwise reference, these paths are
-// tolerance-gated).
+// conv3d.cpp / dense.cpp / avgpool3d.cpp / flatten.cpp (the precision
+// policy: fp32 is the bitwise reference, these paths are
+// tolerance-gated). The blocked conv is the exception: bf16 runs the
+// fp32 engine's own paired kernel (Conv3d::forward_blocked), with the
+// weight load and the output store swapped for their bf16 forms.
 //
 //  * bf16 — weights and activations stored as bf16, widened on load
 //    (vpmovzxwd + vpslld via precision.hpp's bf16_load_16), accumulated
@@ -38,13 +39,10 @@
 // half the MAC rate of the two fp32 FMA ports, so a bf16 conv cannot
 // win on the MAC engine — the win has to come from bytes moved and
 // from port pressure. The conv paths widen the padded source to fp32
-// once at staging time (the broadcast operand wants plain floats),
-// keep the weights bf16 and widen them on load inside the kernel
-// (vpmovzxwd + vpslld — half the cache lines of an fp32 copy, which
-// is what keeps a two-block weight slab L1-resident across a row
-// sweep), and pair two output-channel blocks per source broadcast:
-// each broadcast feeds two FMAs, halving the broadcast-load count per
-// MAC that bounds the fp32 kernel. Dense
+// once at staging time (the broadcast operand wants plain floats) and
+// keep the weights bf16, widened on load inside the kernel (vpmovzxwd
+// + vpslld — half the cache lines of an fp32 copy, which is what keeps
+// a two-block weight slab L1-resident across a row sweep). Dense
 // keeps a vdpbf16ps tile (pack_weights_bf16) where available: the fc
 // layers are weight-bandwidth-bound, so halving the streamed bytes is
 // the whole story and the dp issue rate is irrelevant. Everything
@@ -90,176 +88,6 @@ inline void eltwise_row(float* __restrict row, std::int64_t n,
 // --- conv micro-kernels -----------------------------------------------
 
 #if defined(__AVX512F__)
-
-/// One (source row, weight tile pair) tap of a per-row tap list: `s`
-/// is the fp32-staged padded source row of this (icb, kd, kh, kw),
-/// `w0`/`w1` the two 16x16 bf16 weight tiles of the paired
-/// output-channel blocks, read straight from the network's bf16 arena
-/// and widened on load (vpmovzxwd + vpslld — exact).
-struct PairTap {
-  const float* s;
-  const bf16_t* w0;
-  const bf16_t* w1;
-};
-
-/// Fused epilogue of the pair kernels: optional LeakyReLU (identical
-/// float ops to eltwise_row) and the RNE narrow, applied while the
-/// accumulator is still in a register — the row never round-trips
-/// through an fp32 scratch.
-inline void narrow_store(bf16_t* p, __m512 v, bool fused, __m512 slope_v,
-                         __m512 zero_v) {
-  if (fused) {
-    v = _mm512_mask_blend_ps(_mm512_cmp_ps_mask(v, zero_v, _CMP_GT_OQ),
-                             _mm512_mul_ps(slope_v, v), v);
-  }
-  bf16_store_16(p, v);
-}
-
-/// Paired-ocb held-accumulator kernel: 8 output positions x 2 output
-/// channel blocks = 16 fp32 accumulator registers initialized from the
-/// bias vectors and held across every tap of the row. Each source
-/// broadcast feeds two FMAs (one per ocb tile), halving the
-/// broadcast-load count per MAC versus the fp32 kernel, and the bf16
-/// weight tiles halve the pair's slab to the point where it stays
-/// L1-resident across the row sweep (a 2x16-deep fp32 copy would
-/// not fit). `soff` shifts every tap source to the current 8-position
-/// block; `dual` is false for the duplicated odd trailing block, whose
-/// second accumulator set is computed but not stored.
-inline void micro_fwd_row8_pair(bf16_t* __restrict d0, bf16_t* __restrict d1,
-                                bool dual, const float* __restrict bias0,
-                                const float* __restrict bias1,
-                                const PairTap* taps, std::int64_t ntaps,
-                                std::int64_t soff, std::int64_t sstep,
-                                bool fused, float slope) {
-  const __m512 bv0 = _mm512_loadu_ps(bias0);
-  const __m512 bv1 = _mm512_loadu_ps(bias1);
-  __m512 a0 = bv0, a1 = bv0, a2 = bv0, a3 = bv0;
-  __m512 a4 = bv0, a5 = bv0, a6 = bv0, a7 = bv0;
-  __m512 b0 = bv1, b1 = bv1, b2 = bv1, b3 = bv1;
-  __m512 b4 = bv1, b5 = bv1, b6 = bv1, b7 = bv1;
-  for (std::int64_t t = 0; t < ntaps; ++t) {
-    const float* s = taps[t].s + soff;
-    const bf16_t* w0 = taps[t].w0;
-    const bf16_t* w1 = taps[t].w1;
-    for (int ic = 0; ic < kB; ++ic) {
-      const __m512 wv0 = bf16_load_16(w0 + ic * kB);
-      const __m512 wv1 = bf16_load_16(w1 + ic * kB);
-      __m512 sv = _mm512_set1_ps(s[0 * sstep + ic]);
-      a0 = _mm512_fmadd_ps(wv0, sv, a0);
-      b0 = _mm512_fmadd_ps(wv1, sv, b0);
-      sv = _mm512_set1_ps(s[1 * sstep + ic]);
-      a1 = _mm512_fmadd_ps(wv0, sv, a1);
-      b1 = _mm512_fmadd_ps(wv1, sv, b1);
-      sv = _mm512_set1_ps(s[2 * sstep + ic]);
-      a2 = _mm512_fmadd_ps(wv0, sv, a2);
-      b2 = _mm512_fmadd_ps(wv1, sv, b2);
-      sv = _mm512_set1_ps(s[3 * sstep + ic]);
-      a3 = _mm512_fmadd_ps(wv0, sv, a3);
-      b3 = _mm512_fmadd_ps(wv1, sv, b3);
-      sv = _mm512_set1_ps(s[4 * sstep + ic]);
-      a4 = _mm512_fmadd_ps(wv0, sv, a4);
-      b4 = _mm512_fmadd_ps(wv1, sv, b4);
-      sv = _mm512_set1_ps(s[5 * sstep + ic]);
-      a5 = _mm512_fmadd_ps(wv0, sv, a5);
-      b5 = _mm512_fmadd_ps(wv1, sv, b5);
-      sv = _mm512_set1_ps(s[6 * sstep + ic]);
-      a6 = _mm512_fmadd_ps(wv0, sv, a6);
-      b6 = _mm512_fmadd_ps(wv1, sv, b6);
-      sv = _mm512_set1_ps(s[7 * sstep + ic]);
-      a7 = _mm512_fmadd_ps(wv0, sv, a7);
-      b7 = _mm512_fmadd_ps(wv1, sv, b7);
-    }
-  }
-  const __m512 slope_v = _mm512_set1_ps(slope);
-  const __m512 zero_v = _mm512_setzero_ps();
-  narrow_store(d0 + 0 * kB, a0, fused, slope_v, zero_v);
-  narrow_store(d0 + 1 * kB, a1, fused, slope_v, zero_v);
-  narrow_store(d0 + 2 * kB, a2, fused, slope_v, zero_v);
-  narrow_store(d0 + 3 * kB, a3, fused, slope_v, zero_v);
-  narrow_store(d0 + 4 * kB, a4, fused, slope_v, zero_v);
-  narrow_store(d0 + 5 * kB, a5, fused, slope_v, zero_v);
-  narrow_store(d0 + 6 * kB, a6, fused, slope_v, zero_v);
-  narrow_store(d0 + 7 * kB, a7, fused, slope_v, zero_v);
-  if (!dual) return;
-  narrow_store(d1 + 0 * kB, b0, fused, slope_v, zero_v);
-  narrow_store(d1 + 1 * kB, b1, fused, slope_v, zero_v);
-  narrow_store(d1 + 2 * kB, b2, fused, slope_v, zero_v);
-  narrow_store(d1 + 3 * kB, b3, fused, slope_v, zero_v);
-  narrow_store(d1 + 4 * kB, b4, fused, slope_v, zero_v);
-  narrow_store(d1 + 5 * kB, b5, fused, slope_v, zero_v);
-  narrow_store(d1 + 6 * kB, b6, fused, slope_v, zero_v);
-  narrow_store(d1 + 7 * kB, b7, fused, slope_v, zero_v);
-}
-
-/// 4-position variant for narrow output rows (the stride-2 conv's
-/// out_w = 4 slabs).
-inline void micro_fwd_row4_pair(bf16_t* __restrict d0, bf16_t* __restrict d1,
-                                bool dual, const float* __restrict bias0,
-                                const float* __restrict bias1,
-                                const PairTap* taps, std::int64_t ntaps,
-                                std::int64_t soff, std::int64_t sstep,
-                                bool fused, float slope) {
-  const __m512 bv0 = _mm512_loadu_ps(bias0);
-  const __m512 bv1 = _mm512_loadu_ps(bias1);
-  __m512 a0 = bv0, a1 = bv0, a2 = bv0, a3 = bv0;
-  __m512 b0 = bv1, b1 = bv1, b2 = bv1, b3 = bv1;
-  for (std::int64_t t = 0; t < ntaps; ++t) {
-    const float* s = taps[t].s + soff;
-    const bf16_t* w0 = taps[t].w0;
-    const bf16_t* w1 = taps[t].w1;
-    for (int ic = 0; ic < kB; ++ic) {
-      const __m512 wv0 = bf16_load_16(w0 + ic * kB);
-      const __m512 wv1 = bf16_load_16(w1 + ic * kB);
-      __m512 sv = _mm512_set1_ps(s[0 * sstep + ic]);
-      a0 = _mm512_fmadd_ps(wv0, sv, a0);
-      b0 = _mm512_fmadd_ps(wv1, sv, b0);
-      sv = _mm512_set1_ps(s[1 * sstep + ic]);
-      a1 = _mm512_fmadd_ps(wv0, sv, a1);
-      b1 = _mm512_fmadd_ps(wv1, sv, b1);
-      sv = _mm512_set1_ps(s[2 * sstep + ic]);
-      a2 = _mm512_fmadd_ps(wv0, sv, a2);
-      b2 = _mm512_fmadd_ps(wv1, sv, b2);
-      sv = _mm512_set1_ps(s[3 * sstep + ic]);
-      a3 = _mm512_fmadd_ps(wv0, sv, a3);
-      b3 = _mm512_fmadd_ps(wv1, sv, b3);
-    }
-  }
-  const __m512 slope_v = _mm512_set1_ps(slope);
-  const __m512 zero_v = _mm512_setzero_ps();
-  narrow_store(d0 + 0 * kB, a0, fused, slope_v, zero_v);
-  narrow_store(d0 + 1 * kB, a1, fused, slope_v, zero_v);
-  narrow_store(d0 + 2 * kB, a2, fused, slope_v, zero_v);
-  narrow_store(d0 + 3 * kB, a3, fused, slope_v, zero_v);
-  if (!dual) return;
-  narrow_store(d1 + 0 * kB, b0, fused, slope_v, zero_v);
-  narrow_store(d1 + 1 * kB, b1, fused, slope_v, zero_v);
-  narrow_store(d1 + 2 * kB, b2, fused, slope_v, zero_v);
-  narrow_store(d1 + 3 * kB, b3, fused, slope_v, zero_v);
-}
-
-/// Single-position tail (out_w % 4 columns).
-inline void micro_fwd_row1_pair(bf16_t* __restrict d0, bf16_t* __restrict d1,
-                                bool dual, const float* __restrict bias0,
-                                const float* __restrict bias1,
-                                const PairTap* taps, std::int64_t ntaps,
-                                std::int64_t soff, bool fused, float slope) {
-  __m512 a0 = _mm512_loadu_ps(bias0);
-  __m512 b0 = _mm512_loadu_ps(bias1);
-  for (std::int64_t t = 0; t < ntaps; ++t) {
-    const float* s = taps[t].s + soff;
-    const bf16_t* w0 = taps[t].w0;
-    const bf16_t* w1 = taps[t].w1;
-    for (int ic = 0; ic < kB; ++ic) {
-      const __m512 sv = _mm512_set1_ps(s[ic]);
-      a0 = _mm512_fmadd_ps(bf16_load_16(w0 + ic * kB), sv, a0);
-      b0 = _mm512_fmadd_ps(bf16_load_16(w1 + ic * kB), sv, b0);
-    }
-  }
-  const __m512 slope_v = _mm512_set1_ps(slope);
-  const __m512 zero_v = _mm512_setzero_ps();
-  narrow_store(d0, a0, fused, slope_v, zero_v);
-  if (dual) narrow_store(d1, b0, fused, slope_v, zero_v);
-}
 
 /// First-layer (IC == 1) kernel: the fp32 micro_fwd_row_ic1 structure
 /// (8 x 16-lane register accumulators across the whole window) over
@@ -398,25 +226,6 @@ inline void micro_fwd_row_i8(float* __restrict acc,
 }
 
 #else  // portable fallbacks
-
-/// Scalar tier of the paired kernel's work: one tap over the
-/// fp32-staged source row against one bf16 weight tile, same
-/// (tap, ic, oc) summation order as the vector kernels.
-inline void micro_fwd_row_bf16(float* __restrict acc,
-                               const float* __restrict src_row,
-                               const bf16_t* __restrict w,
-                               std::int64_t count, std::int64_t stride) {
-  const std::int64_t sstep = stride * kB;
-  for (std::int64_t ow = 0; ow < count; ++ow) {
-    const float* s = src_row + ow * sstep;
-    float* d = acc + ow * kB;
-    for (int ic = 0; ic < kB; ++ic) {
-      const float sv = s[ic];
-      const bf16_t* wrow = w + ic * kB;
-      for (int oc = 0; oc < kB; ++oc) d[oc] += bf16_to_float(wrow[oc]) * sv;
-    }
-  }
-}
 
 inline void micro_fwd_row_i8(float* __restrict acc,
                              const float* __restrict src_row,
@@ -676,120 +485,7 @@ void Conv3d::forward_bf16(const bf16_t* src, bf16_t* dst,
     return;
   }
 
-  const std::int64_t icb_count = ic / kB;
-#if defined(__AVX512F__)
-  // Blocked path: jobs over (ocb pair, od). The pair's bf16 weight
-  // slabs are read in place from the network's bf16 arena (half the
-  // lines of an fp32 copy — the whole pair stays L1-resident across
-  // the row sweep); each worker flattens the window into a tap list
-  // per output row and runs the paired held-accumulator kernels. An
-  // odd trailing ocb is computed with its tile duplicated into both
-  // slots and the second accumulator row discarded.
-  const std::int64_t pair_count = (ocb_count + 1) / 2;
-  const std::int64_t slab = icb_count * k * k * k * kB * kB;
-  pool.parallel_for(
-      static_cast<std::size_t>(pair_count * out_d_),
-      [&](std::size_t begin, std::size_t end, std::size_t) {
-        std::vector<PairTap> taps(
-            static_cast<std::size_t>(icb_count * k * k * k));
-        for (std::size_t job = begin; job < end; ++job) {
-          const std::int64_t pair = static_cast<std::int64_t>(job) / out_d_;
-          const std::int64_t od = static_cast<std::int64_t>(job) % out_d_;
-          const std::int64_t ocb0 = pair * 2;
-          const std::int64_t ocb1 = std::min(ocb0 + 1, ocb_count - 1);
-          const bool dual = ocb1 != ocb0;
-          const float* b0 = bias_.data() + ocb0 * kB;
-          const float* b1 = bias_.data() + ocb1 * kB;
-          const std::int64_t sstep = stride * kB;
-          for (std::int64_t oh = 0; oh < out_h_; ++oh) {
-            std::int64_t ntaps = 0;
-            for (std::int64_t icb = 0; icb < icb_count; ++icb) {
-              for (std::int64_t kd = 0; kd < k; ++kd) {
-                const std::int64_t id = od * stride + kd;
-                for (std::int64_t kh = 0; kh < k; ++kh) {
-                  const std::int64_t ih = oh * stride + kh;
-                  const float* srow =
-                      padded + (((icb * dp + id) * hp + ih) * wp) * kB;
-                  const std::int64_t woff =
-                      (((icb * k + kd) * k + kh) * k) * kB * kB;
-                  const bf16_t* w0 = wbase + ocb0 * slab + woff;
-                  const bf16_t* w1 = wbase + ocb1 * slab + woff;
-                  for (std::int64_t kw = 0; kw < k; ++kw) {
-                    taps[static_cast<std::size_t>(ntaps++)] = {
-                        srow + kw * kB, w0 + kw * kB * kB,
-                        w1 + kw * kB * kB};
-                  }
-                }
-              }
-            }
-            bf16_t* d0 =
-                dst + (((ocb0 * out_d_ + od) * out_h_ + oh) * out_w_) * kB;
-            bf16_t* d1 =
-                dst + (((ocb1 * out_d_ + od) * out_h_ + oh) * out_w_) * kB;
-            std::int64_t ow = 0;
-            for (; ow + 8 <= out_w_; ow += 8) {
-              micro_fwd_row8_pair(d0 + ow * kB, d1 + ow * kB, dual, b0, b1,
-                                  taps.data(), ntaps, ow * sstep, sstep,
-                                  fused, slope);
-            }
-            for (; ow + 4 <= out_w_; ow += 4) {
-              micro_fwd_row4_pair(d0 + ow * kB, d1 + ow * kB, dual, b0, b1,
-                                  taps.data(), ntaps, ow * sstep, sstep,
-                                  fused, slope);
-            }
-            for (; ow < out_w_; ++ow) {
-              micro_fwd_row1_pair(d0 + ow * kB, d1 + ow * kB, dual, b0, b1,
-                                  taps.data(), ntaps, ow * sstep, fused,
-                                  slope);
-            }
-          }
-        }
-      },
-      exec.intraop_grain);
-#else
-  // Scalar tier: same (icb, kd, kh, kw) tap order over the fp32-staged
-  // source, weights widened per access.
-  pool.parallel_for(
-      static_cast<std::size_t>(ocb_count * out_d_),
-      [&](std::size_t begin, std::size_t end, std::size_t) {
-        std::vector<float> acc(static_cast<std::size_t>(out_w_) * kB);
-        for (std::size_t job = begin; job < end; ++job) {
-          const std::int64_t ocb = static_cast<std::int64_t>(job) / out_d_;
-          const std::int64_t od = static_cast<std::int64_t>(job) % out_d_;
-          const float* b = bias_.data() + ocb * kB;
-          for (std::int64_t oh = 0; oh < out_h_; ++oh) {
-            for (std::int64_t ow = 0; ow < out_w_; ++ow) {
-              std::memcpy(acc.data() + ow * kB, b, kB * sizeof(float));
-            }
-            for (std::int64_t icb = 0; icb < icb_count; ++icb) {
-              for (std::int64_t kd = 0; kd < k; ++kd) {
-                const std::int64_t id = od * stride + kd;
-                for (std::int64_t kh = 0; kh < k; ++kh) {
-                  const std::int64_t ih = oh * stride + kh;
-                  const float* srow =
-                      padded + (((icb * dp + id) * hp + ih) * wp) * kB;
-                  const bf16_t* wtile =
-                      wbase +
-                      ((((ocb * icb_count + icb) * k + kd) * k + kh) * k) *
-                          kB * kB;
-                  for (std::int64_t kw = 0; kw < k; ++kw) {
-                    micro_fwd_row_bf16(acc.data(), srow + kw * kB,
-                                       wtile + kw * kB * kB, out_w_,
-                                       stride);
-                  }
-                }
-              }
-            }
-            if (fused) eltwise_row(acc.data(), out_w_ * kB, slope);
-            bf16_from_f32(
-                acc.data(),
-                dst + (((ocb * out_d_ + od) * out_h_ + oh) * out_w_) * kB,
-                static_cast<std::size_t>(out_w_) * kB);
-          }
-        }
-      },
-      exec.intraop_grain);
-#endif  // __AVX512F__
+  forward_blocked(padded, wbase, dst, pool, exec.intraop_grain);
 }
 
 void Conv3d::forward_int8w(const Tensor& src, Tensor& dst,

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstring>
 #include <tuple>
 
 #include "dnn/conv3d.hpp"
@@ -151,6 +152,13 @@ INSTANTIATE_TEST_SUITE_P(
         ConvCase{16, 48, 6, 3, 1, Padding::kSame},
         ConvCase{16, 16, 7, 5, 1, Padding::kSame},   // k > stride coverage
         ConvCase{16, 16, 6, 3, 3, Padding::kValid},  // stride == kernel
+        // The paired forward's 8-, 4- and 1-wide position tails at real
+        // widths, with an odd trailing output-channel block (OC = 48):
+        // out_w 13 = 8 + 4 + 1, 12 = 8 + 4 (even k, asymmetric pad),
+        // 6 = 4 + 1 + 1 (stride 2).
+        ConvCase{16, 48, 13, 3, 1, Padding::kSame},
+        ConvCase{32, 32, 12, 4, 1, Padding::kSame},
+        ConvCase{16, 48, 11, 3, 2, Padding::kSame},
         // Plain-source cases (first layer, IC < 16).
         ConvCase{1, 16, 8, 3, 1, Padding::kSame},
         ConvCase{1, 32, 8, 3, 1, Padding::kValid},
@@ -165,6 +173,90 @@ INSTANTIATE_TEST_SUITE_P(
         ConvCase{1, 16, 9, 4, 1, Padding::kSame},
         ConvCase{3, 32, 7, 3, 1, Padding::kSame}),
     case_name);
+
+// The blocked forward's summation order, pinned bit for bit: every
+// output element is its bias, then one fused multiply-add per tap in
+// icb -> kd -> kh -> kw -> ic order (padding taps included, as zeros),
+// then the fused LeakyReLU. A kernel edit that reorders the reduction
+// changes training trajectories; this test makes it fail loudly.
+TEST(Conv3dOrder, BlockedForwardEqualsInOrderScalarReference) {
+  struct Case {
+    std::int64_t ic, oc, dhw, kernel, stride;
+    bool fused;
+  };
+  for (const Case& c : {Case{16, 48, 13, 3, 1, true},
+                        Case{32, 32, 12, 4, 1, false},
+                        Case{16, 48, 11, 3, 2, true}}) {
+    Conv3d conv("c", Conv3dConfig{c.ic, c.oc, c.kernel, c.stride,
+                                  Padding::kSame});
+    const float slope = 0.01f;
+    if (c.fused) conv.fuse_leaky_relu(slope);
+    conv.plan(Shape{c.ic / 16, c.dhw, c.dhw, c.dhw, 16});
+    runtime::Rng rng(17, static_cast<std::uint64_t>(c.oc));
+    Tensor w(Shape{c.oc, c.ic, c.kernel, c.kernel, c.kernel});
+    tensor::fill_normal(w, rng, 0.0f, 0.3f);
+    Tensor bias(Shape{c.oc});
+    tensor::fill_normal(bias, rng, 0.0f, 0.1f);
+    conv.set_plain_weights(w, bias);
+    Tensor src(Shape{c.ic, c.dhw, c.dhw, c.dhw});
+    tensor::fill_normal(src, rng, 0.0f, 1.0f);
+
+    runtime::ThreadPool pool(2);
+    Tensor dst(conv.output_shape());
+    conv.forward(tensor::to_blocked_activation(src), dst, pool);
+    const Tensor out = tensor::from_blocked_activation(dst, c.oc);
+
+    const std::int64_t k = c.kernel;
+    const PadSpec pad = resolve_pad(Padding::kSame, c.dhw, k, c.stride);
+    const std::int64_t n = out.shape()[1];
+    const auto at = [&](std::int64_t ci, std::int64_t z, std::int64_t y,
+                        std::int64_t x) {
+      z -= pad.lo, y -= pad.lo, x -= pad.lo;
+      const bool inside = z >= 0 && z < c.dhw && y >= 0 && y < c.dhw &&
+                          x >= 0 && x < c.dhw;
+      return inside ? src[static_cast<std::size_t>(
+                          ((ci * c.dhw + z) * c.dhw + y) * c.dhw + x)]
+                    : 0.0f;
+    };
+    std::int64_t mismatches = 0;
+    for (std::int64_t oc = 0; oc < c.oc; ++oc) {
+      for (std::int64_t od = 0; od < n; ++od) {
+        for (std::int64_t oh = 0; oh < n; ++oh) {
+          for (std::int64_t ow = 0; ow < n; ++ow) {
+            float acc = bias[static_cast<std::size_t>(oc)];
+            for (std::int64_t icb = 0; icb < c.ic / 16; ++icb) {
+              for (std::int64_t kd = 0; kd < k; ++kd) {
+                for (std::int64_t kh = 0; kh < k; ++kh) {
+                  for (std::int64_t kw = 0; kw < k; ++kw) {
+                    for (std::int64_t i = 0; i < 16; ++i) {
+                      const std::int64_t ci = icb * 16 + i;
+                      const float wv = w[static_cast<std::size_t>(
+                          (((oc * c.ic + ci) * k + kd) * k + kh) * k + kw)];
+                      const float sv =
+                          at(ci, od * c.stride + kd, oh * c.stride + kh,
+                             ow * c.stride + kw);
+#if defined(__AVX512F__)
+                      acc = std::fmaf(wv, sv, acc);  // one vfmadd lane
+#else
+                      acc += wv * sv;  // the portable tier's expression
+#endif
+                    }
+                  }
+                }
+              }
+            }
+            if (c.fused && !(acc > 0.0f)) acc = slope * acc;
+            const float got = out[static_cast<std::size_t>(
+                ((oc * n + od) * n + oh) * n + ow)];
+            if (std::memcmp(&got, &acc, sizeof(float)) != 0) ++mismatches;
+          }
+        }
+      }
+    }
+    EXPECT_EQ(mismatches, 0) << "ic " << c.ic << " oc " << c.oc << " k "
+                             << k << " stride " << c.stride;
+  }
+}
 
 TEST(Conv3d, RejectsBadConfigs) {
   EXPECT_THROW(Conv3d("c", Conv3dConfig{16, 20, 3, 1, Padding::kSame}),

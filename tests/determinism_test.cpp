@@ -7,6 +7,8 @@
 // tests pin that invariant at each level of the stack.
 #include <gtest/gtest.h>
 
+#include <cstring>
+
 #include "core/dataset_gen.hpp"
 #include "core/topology.hpp"
 #include "core/trainer.hpp"
@@ -97,6 +99,40 @@ TEST_P(ConvThreadInvariance, BackwardSweepGradsBitIdentical) {
     ASSERT_EQ(serial.size(), threaded.size());
     EXPECT_EQ(tensor::max_abs_diff(serial, threaded), 0.0f)
         << "ic " << c.ic << " oc " << c.oc << " fused " << c.fused;
+  }
+}
+
+// The blocked forward runs on the (ocb pair, od) grid; an odd trailing
+// output-channel block (OC = 48) computes a duplicated second tile and
+// drops it. Outputs equal the serial ones bitwise at every thread count
+// and grain, fused or not, with out_d 11 and out_w 11 = 8 + 1 + 1 + 1.
+TEST_P(ConvThreadInvariance, ForwardOddOcbBitIdentical) {
+  const int threads = GetParam();
+  for (const bool fused : {false, true}) {
+    const auto run = [&](int nthreads, std::size_t grain) {
+      dnn::Conv3d conv("conv", dnn::Conv3dConfig{16, 48, 3, 1,
+                                                 dnn::Padding::kSame});
+      if (fused) conv.fuse_leaky_relu(0.01f);
+      conv.plan(Shape{1, 11, 11, 11, 16});
+      runtime::Rng rng(6);
+      conv.init_he(rng);
+      conv.standalone_state().intraop_grain = grain;
+      runtime::ThreadPool pool(static_cast<std::size_t>(nthreads));
+      Tensor src(conv.input_shape());
+      tensor::fill_normal(src, rng, 0.0f, 1.0f);
+      Tensor dst(conv.output_shape());
+      conv.forward(src, dst, pool);
+      return dst.to_vector();
+    };
+    const auto serial = run(1, 1);
+    for (const std::size_t grain : {std::size_t{1}, std::size_t{3}}) {
+      const auto threaded = run(threads, grain);
+      ASSERT_EQ(serial.size(), threaded.size());
+      EXPECT_EQ(std::memcmp(serial.data(), threaded.data(),
+                            serial.size() * sizeof(float)),
+                0)
+          << "fused " << fused << " grain " << grain;
+    }
   }
 }
 
