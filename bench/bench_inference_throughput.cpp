@@ -11,17 +11,20 @@
 // out, and the per-stream memory cost is the lean inference footprint
 // rather than a full training replica.
 //
-// The sweep runs every prepared precision (fp32, bf16, int8w) through
-// 1..--streams streams (powers of two). Single-stream rates — the
-// basis of the reported per-precision speedups — are measured
-// round-robin across the precisions over --rounds blocks and reported
-// as the best block, so a background-load spike on a shared VM hits
-// every mode instead of biasing one. Every stream's outputs are
-// checked bitwise against a serial reference of the SAME precision
-// (the determinism rule holds per precision), and each reduced
-// precision's predictions are scored against fp32 as a parameter-
-// regression MAE on the shared core::precision_eval fixture — the
-// same dataset the accuracy-tolerance test gates on.
+// The sweep runs both precisions (fp32, bf16) through 1..--streams
+// streams (powers of two). Single-stream rates — the basis of the
+// reported bf16 speedup — are measured round-robin across the
+// precisions over --rounds blocks and reported as the best block, so a
+// background-load spike on a shared VM hits both modes instead of
+// biasing one. Every stream's outputs are checked bitwise against a
+// serial reference of the SAME precision (the determinism rule holds
+// per precision), and the bf16 predictions are scored against fp32 as
+// a parameter-regression MAE on the shared core::precision_eval
+// fixture — the same dataset the accuracy-tolerance test gates on.
+//
+// --dhw picks the network with core::topology_for_input: 128 is the
+// paper's canonical net, other sizes the scaled variants. A size no
+// topology accepts prints a message and exits 1.
 //
 // `scaling_valid` is false when the sweep oversubscribes the hardware
 // (streams x threads-per-stream > hardware threads): on a 1-core VM
@@ -65,15 +68,7 @@ namespace {
 
 using namespace cf;
 
-const char* precision_tag(dnn::Precision p) {
-  return p == dnn::Precision::kFp32    ? ""
-         : p == dnn::Precision::kBf16 ? "bf16_"
-                                       : "int8w_";
-}
-
-}  // namespace
-
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
   std::int64_t dhw = 32;
   int max_streams = 4;
   int threads_per_stream = 1;
@@ -100,20 +95,19 @@ int main(int argc, char** argv) {
   }
   if (rounds < 1) rounds = 1;
 
+  const core::TopologyConfig topology = core::topology_for_input(dhw);
   const unsigned hardware_threads = std::thread::hardware_concurrency();
   std::printf("=== bench_inference_throughput: concurrent streams over "
               "one shared Network, per-precision ===\n");
-  std::printf("(cosmoflow_scaled(%lld), %d reps/stream, %d round(s), %d "
-              "worker thread(s) per stream, %u hardware threads)\n\n",
-              static_cast<long long>(dhw), reps, rounds,
-              threads_per_stream, hardware_threads);
+  std::printf("(%s, %d reps/stream, %d round(s), %d worker thread(s) per "
+              "stream, %u hardware threads)\n\n",
+              topology.name.c_str(), reps, rounds, threads_per_stream,
+              hardware_threads);
 
-  dnn::Network net = core::build_network(core::cosmoflow_scaled(dhw), 7);
+  dnn::Network net = core::build_network(topology, 7);
   net.prepare_inference_precision(dnn::Precision::kBf16);
-  net.prepare_inference_precision(dnn::Precision::kInt8Weights);
-  const std::vector<dnn::Precision> precisions = {
-      dnn::Precision::kFp32, dnn::Precision::kBf16,
-      dnn::Precision::kInt8Weights};
+  const std::vector<dnn::Precision> precisions = {dnn::Precision::kFp32,
+                                                  dnn::Precision::kBf16};
 
   // Cost-model ablation: the model splits the hardware budget into
   // {streams, threads_per_stream} + per-layer grains; the chosen width
@@ -174,9 +168,9 @@ int main(int argc, char** argv) {
     expected.push_back(std::move(per_stream));
   }
 
-  // Accuracy attribution: parameter-regression MAE of each reduced
-  // precision against fp32 on the shared eval fixture.
-  double mae_bf16 = 0.0, mae_int8w = 0.0;
+  // Accuracy attribution: parameter-regression MAE of bf16 against
+  // fp32 on the shared eval fixture.
+  double mae_bf16 = 0.0;
   {
     const std::vector<tensor::Tensor> eval_inputs =
         core::precision_eval_inputs(net.input_shape(), 24);
@@ -192,10 +186,9 @@ int main(int argc, char** argv) {
       preds.push_back(std::move(flat));
     }
     mae_bf16 = core::prediction_mae(preds[1], preds[0]);
-    mae_int8w = core::prediction_mae(preds[2], preds[0]);
     std::printf("accuracy vs fp32 (24-input eval fixture): "
-                "mae_bf16 %.6g, mae_int8w %.6g\n\n",
-                mae_bf16, mae_int8w);
+                "mae_bf16 %.6g\n\n",
+                mae_bf16);
   }
 
   // Timed sweep: S streams of one precision, each forwarding its input
@@ -268,11 +261,8 @@ int main(int argc, char** argv) {
   }
   const double speedup_bf16 =
       single_sps[0] > 0.0 ? single_sps[1] / single_sps[0] : 0.0;
-  const double speedup_int8w =
-      single_sps[0] > 0.0 ? single_sps[2] / single_sps[0] : 0.0;
-  std::printf("\nsingle-stream speedup vs fp32: bf16 %.3fx, int8w "
-              "%.3fx\n",
-              speedup_bf16, speedup_int8w);
+  std::printf("\nsingle-stream speedup vs fp32: bf16 %.3fx\n",
+              speedup_bf16);
 
   const bool scaling_valid =
       static_cast<unsigned long long>(max_streams) *
@@ -299,18 +289,15 @@ int main(int argc, char** argv) {
         .field("scaling_valid", scaling_valid);
     for (std::size_t p = 0; p < precisions.size(); ++p) {
       for (const auto& [streams, sps] : results[p]) {
-        rec.field(std::string("sps_") + precision_tag(precisions[p]) +
-                      "streams_" + std::to_string(streams),
+        rec.field(std::string(p == 0 ? "sps_" : "sps_bf16_") + "streams_" +
+                      std::to_string(streams),
                   sps);
       }
     }
     rec.field("speedup_max_streams",
               single_sps[0] > 0.0 ? results[0].back().second / single_sps[0]
                                   : 0.0);
-    rec.field("speedup_bf16", speedup_bf16)
-        .field("speedup_int8w", speedup_int8w)
-        .field("mae_bf16", mae_bf16)
-        .field("mae_int8w", mae_int8w);
+    rec.field("speedup_bf16", speedup_bf16).field("mae_bf16", mae_bf16);
     std::FILE* out = std::fopen(json_path.c_str(), "w");
     if (out == nullptr) {
       std::printf("FAILED to write json to %s\n", json_path.c_str());
@@ -322,11 +309,22 @@ int main(int argc, char** argv) {
     std::printf("\nwrote %s\n", json_path.c_str());
   }
 
-  std::printf("\nshape target: bf16 beats fp32 on single-stream "
-              "samples/s (halved activation/weight bytes, fp32 "
-              "accumulate); aggregate samples/s grows with the stream "
-              "count only while streams fit the hardware threads — "
-              "beyond that (scaling_valid=false) the rows measure "
-              "time-sliced streams, not concurrency.\n");
+  std::printf("\nshape target: bf16 must beat fp32 on single-stream "
+              "samples/s to pay for itself (halved activation/weight "
+              "bytes, fp32 accumulate); aggregate samples/s grows with "
+              "the stream count only while streams fit the hardware "
+              "threads — beyond that (scaling_valid=false) the rows "
+              "measure time-sliced streams, not concurrency.\n");
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  try {
+    return run(argc, argv);
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "bench_inference_throughput: %s\n", e.what());
+    return 1;
+  }
 }

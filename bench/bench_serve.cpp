@@ -26,7 +26,7 @@
 //
 //   ./bench_serve [--dhw=16] [--workers=2] [--threads-per-worker=1]
 //       [--max-batch=8] [--max-delay-us=2000] [--queue-capacity=64]
-//       [--requests=384] [--clients=4] [--precision=fp32|bf16|int8w]
+//       [--requests=384] [--clients=4] [--precision=fp32|bf16]
 //       [--smoke] [--json=BENCH_serve.json]
 //
 // --threads-per-worker=0 selects the server's cost-model auto mode
@@ -136,9 +136,7 @@ void check_bits(const serve::InferenceResult& result,
   }
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
+int run(int argc, char** argv) {
   std::int64_t dhw = 16;
   serve::ServerConfig config;
   config.workers = 2;
@@ -205,7 +203,7 @@ int main(int argc, char** argv) {
               config.queue_capacity, requests, clients,
               dnn::to_string(config.precision).data(), hardware_threads);
 
-  // Reduced-precision side arenas are packed on the mutable handle
+  // The bf16 side arena is packed on the mutable handle
   // before the const shared view is taken — the Server only accepts a
   // prepared network (DESIGN.md §2.5).
   auto mutable_network = std::make_shared<dnn::Network>(
@@ -451,4 +449,15 @@ int main(int argc, char** argv) {
       "fraction at the admission budget while survivor latency stays "
       "bounded by roughly queue_capacity / service rate.\n");
   return 0;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  try {
+    return run(argc, argv);
+  } catch (const std::exception& e) {
+    std::fprintf(stderr, "bench_serve: %s\n", e.what());
+    return 1;
+  }
 }

@@ -70,6 +70,9 @@ int run(int argc, char** argv) {
     config.optimizer = core::OptimizerKind::kAdam;
   } else if (optimizer == "sgd") {
     config.optimizer = core::OptimizerKind::kSgdMomentum;
+  } else if (optimizer != "adamlarc") {
+    throw std::invalid_argument("--optimizer=" + optimizer +
+                                ": expected adamlarc, adam or sgd");
   }
 
   const std::string dir = flags.get_string("data", "/tmp/cosmoflow_data");

@@ -8,8 +8,8 @@
 #           grad arenas, and the conv gather / pool direct-write
 #           kernels whose correctness depends on exact in-bounds
 #           full-coverage writes. The Precision suite rides this leg
-#           with special weight: the bf16/int8 conversion kernels
-#           (vectorized array converters, packed side arenas, the
+#           with special weight: the bf16 conversion kernels
+#           (vectorized array converters, the packed side arena, the
 #           widen-on-load forward paths) are exactly the
 #           pointer-width-changing code ASan is good at.
 #   tsan  — cross-thread hand-offs: the MlComm collectives and helper

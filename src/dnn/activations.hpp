@@ -33,10 +33,7 @@ class LeakyRelu final : public Layer {
   // bf16 pass-through (dnn/forward_rp.cpp) for unfused networks: widen,
   // apply the slope in fp32, narrow. build_network() usually fuses this
   // layer away before it can run.
-  bool supports_precision(Precision p) const override {
-    static_cast<void>(p);
-    return true;
-  }
+  bool supports_precision(Precision) const override { return true; }
   void forward_bf16(const bf16_t* src, bf16_t* dst,
                     std::span<const bf16_t> params, LayerExecState& exec,
                     runtime::ThreadPool& pool) const override;

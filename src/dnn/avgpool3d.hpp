@@ -37,11 +37,8 @@ class AvgPool3d final : public Layer {
                 runtime::ThreadPool& pool) const override;
 
   // bf16 pass-through (dnn/forward_rp.cpp): widen, average in fp32,
-  // narrow. kInt8Weights needs nothing — pooling has no weights.
-  bool supports_precision(Precision p) const override {
-    static_cast<void>(p);
-    return true;
-  }
+  // narrow.
+  bool supports_precision(Precision) const override { return true; }
   void forward_bf16(const bf16_t* src, bf16_t* dst,
                     std::span<const bf16_t> params, LayerExecState& exec,
                     runtime::ThreadPool& pool) const override;

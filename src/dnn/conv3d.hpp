@@ -75,29 +75,13 @@ class Conv3d final : public Layer {
                 LayerExecState& exec,
                 runtime::ThreadPool& pool) const override;
 
-  // Reduced-precision inference forwards (dnn/forward_rp.cpp): bf16
-  // weights+activations with fp32 accumulation, and weights-only int8
-  // with per-output-channel scales. A blocked bf16 conv runs the fp32
-  // forward's kernel (forward_blocked) with bf16 loads and stores.
-  bool supports_precision(Precision p) const override {
-    static_cast<void>(p);
-    return true;
-  }
+  // bf16 inference forward (dnn/forward_rp.cpp): bf16 weights and
+  // activations with fp32 accumulation. A blocked bf16 conv runs the
+  // fp32 forward's kernel (forward_blocked) with bf16 loads and stores.
+  bool supports_precision(Precision) const override { return true; }
   void forward_bf16(const bf16_t* src, bf16_t* dst,
                     std::span<const bf16_t> params, LayerExecState& exec,
                     runtime::ThreadPool& pool) const override;
-  void forward_int8w(const tensor::Tensor& src, tensor::Tensor& dst,
-                     std::span<const std::int8_t> qweights,
-                     std::span<const float> scales, LayerExecState& exec,
-                     runtime::ThreadPool& pool) const override;
-  std::size_t int8_weight_count() const override {
-    return static_cast<std::size_t>(weights_.size());
-  }
-  std::size_t int8_scale_count() const override {
-    return static_cast<std::size_t>(config_.out_channels);
-  }
-  void quantize_weights_int8(std::span<std::int8_t> qweights,
-                             std::span<float> scales) const override;
 
   /// Forward stages the source into a zero-padded workspace (written by
   /// forward, re-read by backward-weights of the same stream).

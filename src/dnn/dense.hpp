@@ -34,28 +34,13 @@ class Dense final : public Layer {
                 LayerExecState& exec,
                 runtime::ThreadPool& pool) const override;
 
-  // Reduced-precision inference forwards (dnn/forward_rp.cpp); the
-  // fp32 chunked reduction above is untouched.
-  bool supports_precision(Precision p) const override {
-    static_cast<void>(p);
-    return true;
-  }
+  // bf16 inference forward (dnn/forward_rp.cpp); the fp32 chunked
+  // reduction above is untouched.
+  bool supports_precision(Precision) const override { return true; }
   void forward_bf16(const bf16_t* src, bf16_t* dst,
                     std::span<const bf16_t> params, LayerExecState& exec,
                     runtime::ThreadPool& pool) const override;
   void pack_weights_bf16(std::span<bf16_t> segment) const override;
-  void forward_int8w(const tensor::Tensor& src, tensor::Tensor& dst,
-                     std::span<const std::int8_t> qweights,
-                     std::span<const float> scales, LayerExecState& exec,
-                     runtime::ThreadPool& pool) const override;
-  std::size_t int8_weight_count() const override {
-    return static_cast<std::size_t>(in_ * out_);
-  }
-  std::size_t int8_scale_count() const override {
-    return static_cast<std::size_t>(out_);
-  }
-  void quantize_weights_int8(std::span<std::int8_t> qweights,
-                             std::span<float> scales) const override;
 
   /// Post-op fusion of a trailing LeakyReLU (see Conv3d::fuse_leaky_relu
   /// for the bitwise-equivalence argument).

@@ -311,7 +311,6 @@ const Tensor& ExecContext::run_forward(const Tensor& staged,
                                        runtime::ThreadPool& pool) {
   CF_TRACE_SCOPE("net/forward", "dnn");
   const Graph& graph = net_->graph();
-  const bool int8w = precision_ == Precision::kInt8Weights;
   for (std::size_t i = 0; i < net_->layer_count(); ++i) {
     const Layer& layer = net_->layer(i);
     CF_TRACE_SCOPE(layer.span_label_fwd().c_str(), layer.kind().c_str());
@@ -319,13 +318,7 @@ const Tensor& ExecContext::run_forward(const Tensor& staged,
     if (ins.size() == 1) {
       const Tensor& src =
           ins[0] == kGraphInput ? staged : activations_[ins[0]];
-      if (int8w && layer.int8_weight_count() > 0) {
-        layer.forward_int8w(src, activations_[i],
-                            net_->int8_weight_segment(i),
-                            net_->int8_scale_segment(i), exec_[i], pool);
-      } else {
-        layer.forward(src, activations_[i], exec_[i], pool);
-      }
+      layer.forward(src, activations_[i], exec_[i], pool);
     } else {
       src_ptrs_.clear();
       for (NodeId p : ins) {

@@ -70,7 +70,7 @@ class ExecContext {
   /// network returns the head's activation directly; multiple heads are
   /// concatenated flat, in head order. Training contexts stage `input`
   /// into the context-owned input copy first (backward re-reads it);
-  /// fp32/int8w *inference* contexts skip that staging copy entirely
+  /// fp32 *inference* contexts skip that staging copy entirely
   /// and read `input` in place — `input` must stay alive and unmodified
   /// until forward returns.
   const tensor::Tensor& forward(const tensor::Tensor& input,
@@ -80,7 +80,7 @@ class ExecContext {
   /// shape). Callers that assemble the network input anyway — the
   /// Trainer's batch gather, with augmentation folded in — write it
   /// directly and call forward_staged(), eliminating forward()'s
-  /// staging memcpy. fp32/int8w only: a bf16 context has no fp32 input
+  /// staging memcpy. fp32 only: a bf16 context has no fp32 input
   /// buffer (throws std::logic_error).
   std::span<float> input_staging();
 
@@ -181,7 +181,7 @@ class ExecContext {
   void build_inference_buffers_bf16();
   const tensor::Tensor& forward_bf16_path(const tensor::Tensor& input,
                                           runtime::ThreadPool& pool);
-  /// The fp32/int8w schedule loop over an already-staged input tensor.
+  /// The fp32 schedule loop over an already-staged input tensor.
   const tensor::Tensor& run_forward(const tensor::Tensor& staged,
                                     runtime::ThreadPool& pool);
 
@@ -200,7 +200,7 @@ class ExecContext {
   runtime::AlignedBuffer<bf16_t> input16_;
   runtime::AlignedBuffer<bf16_t> act16_arena_;
   // The concatenated multi-head output (fp32; also the bf16 widening
-  // target). Unallocated for single-head fp32/int8w contexts — those
+  // target). Unallocated for single-head fp32 contexts — those
   // return the head activation itself.
   tensor::Tensor output_;
 

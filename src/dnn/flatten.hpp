@@ -31,10 +31,7 @@ class Flatten final : public Layer {
 
   // bf16 pass-through (dnn/forward_rp.cpp): the reorder is a pure
   // gather, so bf16 values move untouched — no conversion at all.
-  bool supports_precision(Precision p) const override {
-    static_cast<void>(p);
-    return true;
-  }
+  bool supports_precision(Precision) const override { return true; }
   void forward_bf16(const bf16_t* src, bf16_t* dst,
                     std::span<const bf16_t> params, LayerExecState& exec,
                     runtime::ThreadPool& pool) const override;

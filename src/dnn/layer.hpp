@@ -262,13 +262,10 @@ class Layer {
 
   // --- Reduced-precision inference (DESIGN.md §2.5) -------------------
 
-  /// Which inference precisions this layer can execute. Every layer
-  /// trivially supports kInt8Weights — a layer without quantizable
-  /// weights just runs its fp32 forward (the mode only changes how
-  /// conv/dense weights are stored). kBf16 needs an explicit
-  /// forward_bf16 override, so the default declines it.
+  /// Which inference precisions this layer can execute. kBf16 needs an
+  /// explicit forward_bf16 override, so the default declines it.
   virtual bool supports_precision(Precision p) const {
-    return p == Precision::kFp32 || p == Precision::kInt8Weights;
+    return p == Precision::kFp32;
   }
 
   /// bf16 forward: `src`/`dst` are raw buffers holding bf16 images of
@@ -292,21 +289,6 @@ class Layer {
                            " has no bf16 forward path");
   }
 
-  /// Weights-only int8 forward: fp32 activations in and out, weights
-  /// read from the quantized segment with per-output-channel `scales`
-  /// (Network::int8_weight_segment / int8_scale_segment). The default
-  /// ignores the segments and falls through to the fp32 forward, so
-  /// parameterless layers run unchanged in kInt8Weights mode.
-  virtual void forward_int8w(const tensor::Tensor& src, tensor::Tensor& dst,
-                             std::span<const std::int8_t> qweights,
-                             std::span<const float> scales,
-                             LayerExecState& exec,
-                             runtime::ThreadPool& pool) const {
-    static_cast<void>(qweights);
-    static_cast<void>(scales);
-    forward(src, dst, exec, pool);
-  }
-
   /// Invoked by Network::prepare_inference_precision after the plain
   /// bf16 image of this layer's segment was built, with a mutable view
   /// of that slice. A layer whose bf16 kernel wants a different weight
@@ -316,21 +298,6 @@ class Layer {
   /// reader. Default keeps the plain image.
   virtual void pack_weights_bf16(std::span<bf16_t> segment) const {
     static_cast<void>(segment);
-  }
-
-  /// int8 packing hooks for Network::prepare_inference_precision.
-  /// Layers with quantizable weights report how many int8 elements and
-  /// per-channel scales they need; parameterless layers report zero
-  /// and are skipped.
-  virtual std::size_t int8_weight_count() const { return 0; }
-  virtual std::size_t int8_scale_count() const { return 0; }
-  /// Calibrates per-output-channel symmetric scales from the current
-  /// fp32 weight maxima and fills `qweights` (size int8_weight_count)
-  /// and `scales` (size int8_scale_count).
-  virtual void quantize_weights_int8(std::span<std::int8_t> qweights,
-                                     std::span<float> scales) const {
-    static_cast<void>(qweights);
-    static_cast<void>(scales);
   }
 
   /// Floats of forward staging workspace this stream must provide

@@ -175,8 +175,7 @@ TEST(GraphSequential, TrainingBitwiseAcrossPlansAndThreads) {
 TEST(GraphSequential, InferenceBitwiseAcrossPlansAndPrecisions) {
   const core::TopologyConfig topology = core::cosmoflow_scaled(8);
   const Tensor input = random_input(core::input_shape(topology), 9);
-  for (const Precision precision :
-       {Precision::kFp32, Precision::kBf16, Precision::kInt8Weights}) {
+  for (const Precision precision : {Precision::kFp32, Precision::kBf16}) {
     std::vector<float> ref;
     bool first = true;
     for (const bool fuse : {true, false}) {
