@@ -53,6 +53,7 @@
 
 #include "core/precision_eval.hpp"
 #include "core/topology.hpp"
+#include "examples/example_utils.hpp"
 #include "dnn/cost_model.hpp"
 #include "obs/jsonl.hpp"
 #include "runtime/rng.hpp"
@@ -69,31 +70,21 @@ namespace {
 using namespace cf;
 
 int run(int argc, char** argv) {
-  std::int64_t dhw = 32;
-  int max_streams = 4;
-  int threads_per_stream = 1;
-  bool use_cost_model = false;
-  int reps = 16;
-  int rounds = 4;
-  std::string json_path;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strncmp(argv[i], "--dhw=", 6) == 0) dhw = std::atoll(argv[i] + 6);
-    if (std::strncmp(argv[i], "--streams=", 10) == 0) {
-      max_streams = std::atoi(argv[i] + 10);
-    }
-    if (std::strncmp(argv[i], "--threads-per-stream=", 21) == 0) {
-      threads_per_stream = std::atoi(argv[i] + 21);
-    }
-    if (std::strcmp(argv[i], "--cost-model") == 0) use_cost_model = true;
-    if (std::strncmp(argv[i], "--reps=", 7) == 0) {
-      reps = std::atoi(argv[i] + 7);
-    }
-    if (std::strncmp(argv[i], "--rounds=", 9) == 0) {
-      rounds = std::atoi(argv[i] + 9);
-    }
-    if (std::strncmp(argv[i], "--json=", 7) == 0) json_path = argv[i] + 7;
-  }
-  if (rounds < 1) rounds = 1;
+  const examples::Flags flags(
+      argc, argv,
+      "usage: bench_inference_throughput [--dhw=N] [--streams=N] "
+      "[--threads-per-stream=N] [--cost-model] [--reps=N] [--rounds=N] "
+      "[--json=PATH]");
+  const std::int64_t dhw = flags.get_int("dhw", 32);
+  const int max_streams = static_cast<int>(flags.get_int("streams", 4));
+  int threads_per_stream =
+      static_cast<int>(flags.get_int("threads-per-stream", 1));
+  const bool use_cost_model = flags.get_int("cost-model", 0) != 0;
+  const int reps = static_cast<int>(flags.get_int("reps", 16));
+  const int rounds =
+      std::max(1, static_cast<int>(flags.get_int("rounds", 4)));
+  const std::string json_path = flags.get_string("json", "");
+  flags.reject_unknown();
 
   const core::TopologyConfig topology = core::topology_for_input(dhw);
   const unsigned hardware_threads = std::thread::hardware_concurrency();

@@ -49,6 +49,7 @@
 #include <vector>
 
 #include "core/topology.hpp"
+#include "examples/example_utils.hpp"
 #include "dnn/cost_model.hpp"
 #include "dnn/precision.hpp"
 #include "obs/jsonl.hpp"
@@ -137,48 +138,29 @@ void check_bits(const serve::InferenceResult& result,
 }
 
 int run(int argc, char** argv) {
-  std::int64_t dhw = 16;
+  const examples::Flags flags(
+      argc, argv,
+      "usage: bench_serve [--dhw=N] [--workers=N] "
+      "[--threads-per-worker=N] [--max-batch=N] [--max-delay-us=F] "
+      "[--queue-capacity=N] [--requests=N] [--clients=N] "
+      "[--precision=fp32|bf16] [--smoke] [--json=PATH]");
+  std::int64_t dhw = flags.get_int("dhw", 16);
   serve::ServerConfig config;
-  config.workers = 2;
-  config.threads_per_worker = 1;
-  config.max_batch = 8;
-  config.max_delay_seconds = 2000e-6;
-  config.queue_capacity = 64;
-  std::size_t requests = 384;
-  std::size_t clients = 4;
-  bool smoke = false;
-  std::string json_path;
-  for (int i = 1; i < argc; ++i) {
-    if (std::strncmp(argv[i], "--dhw=", 6) == 0) dhw = std::atoll(argv[i] + 6);
-    if (std::strncmp(argv[i], "--workers=", 10) == 0) {
-      config.workers = static_cast<std::size_t>(std::atoi(argv[i] + 10));
-    }
-    if (std::strncmp(argv[i], "--threads-per-worker=", 21) == 0) {
-      config.threads_per_worker =
-          static_cast<std::size_t>(std::atoi(argv[i] + 21));
-    }
-    if (std::strncmp(argv[i], "--max-batch=", 12) == 0) {
-      config.max_batch = static_cast<std::size_t>(std::atoi(argv[i] + 12));
-    }
-    if (std::strncmp(argv[i], "--max-delay-us=", 15) == 0) {
-      config.max_delay_seconds = std::atof(argv[i] + 15) * 1e-6;
-    }
-    if (std::strncmp(argv[i], "--queue-capacity=", 17) == 0) {
-      config.queue_capacity =
-          static_cast<std::size_t>(std::atoi(argv[i] + 17));
-    }
-    if (std::strncmp(argv[i], "--requests=", 11) == 0) {
-      requests = static_cast<std::size_t>(std::atoll(argv[i] + 11));
-    }
-    if (std::strncmp(argv[i], "--clients=", 10) == 0) {
-      clients = static_cast<std::size_t>(std::atoi(argv[i] + 10));
-    }
-    if (std::strncmp(argv[i], "--precision=", 12) == 0) {
-      config.precision = dnn::precision_from_string(argv[i] + 12);
-    }
-    if (std::strcmp(argv[i], "--smoke") == 0) smoke = true;
-    if (std::strncmp(argv[i], "--json=", 7) == 0) json_path = argv[i] + 7;
-  }
+  config.workers = static_cast<std::size_t>(flags.get_int("workers", 2));
+  config.threads_per_worker =
+      static_cast<std::size_t>(flags.get_int("threads-per-worker", 1));
+  config.max_batch = static_cast<std::size_t>(flags.get_int("max-batch", 8));
+  config.max_delay_seconds = flags.get_double("max-delay-us", 2000.0) * 1e-6;
+  config.queue_capacity =
+      static_cast<std::size_t>(flags.get_int("queue-capacity", 64));
+  std::size_t requests =
+      static_cast<std::size_t>(flags.get_int("requests", 384));
+  std::size_t clients = static_cast<std::size_t>(flags.get_int("clients", 4));
+  config.precision =
+      dnn::precision_from_string(flags.get_string("precision", "fp32"));
+  const bool smoke = flags.get_int("smoke", 0) != 0;
+  const std::string json_path = flags.get_string("json", "");
+  flags.reject_unknown();
   if (smoke) {
     // Sanitizer-friendly: tiny model, short phases, same code paths.
     dhw = 8;

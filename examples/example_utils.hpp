@@ -10,29 +10,35 @@
 #include <map>
 #include <stdexcept>
 #include <string>
+#include <string_view>
 #include <vector>
 
 #include "tensor/tensor.hpp"
 
 namespace cf::examples {
 
-/// Parses --key=value arguments; anything else aborts with usage help.
+/// Parses --key=value arguments (a bare --key reads as "1"); anything
+/// else aborts with usage help. Every get_* call marks its key as
+/// known, and reject_unknown() — called once all flags are read —
+/// throws for any flag no read asked for, so a typo such as --epoch
+/// fails instead of being ignored.
 class Flags {
  public:
   Flags(int argc, char** argv, const std::string& usage) {
     for (int i = 1; i < argc; ++i) {
-      const std::string arg = argv[i];
-      if (arg.rfind("--", 0) != 0) {
+      const std::string_view arg = argv[i];
+      if (!arg.starts_with("--")) {
         std::fprintf(stderr, "unexpected argument '%s'\n%s\n", argv[i],
                      usage.c_str());
         std::exit(2);
       }
-      const std::size_t eq = arg.find('=');
-      if (eq == std::string::npos) {
-        values_[arg.substr(2)] = "1";
-      } else {
-        values_[arg.substr(2, eq - 2)] = arg.substr(eq + 1);
-      }
+      const std::string_view body = arg.substr(2);
+      const std::size_t eq = body.find('=');
+      const std::string_view key = body.substr(0, eq);
+      const std::string_view value =
+          eq == std::string_view::npos ? "1" : body.substr(eq + 1);
+      values_.insert_or_assign(std::string(key),
+                               Entry{std::string(value), false});
     }
   }
 
@@ -55,28 +61,48 @@ class Flags {
 
   std::string get_string(const std::string& key,
                          const std::string& fallback) const {
-    const auto it = values_.find(key);
-    return it == values_.end() ? fallback : it->second;
+    const Entry* entry = find(key);
+    return entry == nullptr ? fallback : entry->value;
+  }
+
+  /// Throws std::invalid_argument("unknown flag --KEY") for the first
+  /// given flag (in key order) that no get_* call read.
+  void reject_unknown() const {
+    for (const auto& [key, entry] : values_) {
+      if (!entry.read) throw std::invalid_argument("unknown flag --" + key);
+    }
   }
 
  private:
+  struct Entry {
+    std::string value;
+    mutable bool read = false;
+  };
+
+  const Entry* find(const std::string& key) const {
+    const auto it = values_.find(key);
+    if (it == values_.end()) return nullptr;
+    it->second.read = true;
+    return &it->second;
+  }
+
   template <class T, class Parse>
   T parse(const std::string& key, T fallback, const char* what,
           Parse parse_value) const {
-    const auto it = values_.find(key);
-    if (it == values_.end()) return fallback;
+    const Entry* entry = find(key);
+    if (entry == nullptr) return fallback;
     std::size_t end = 0;
     try {
-      const T value = parse_value(it->second, &end);
-      if (end == it->second.size()) return value;
+      const T value = parse_value(entry->value, &end);
+      if (end == entry->value.size()) return value;
     } catch (const std::logic_error&) {
       // out of range or no digits: reported below
     }
-    throw std::invalid_argument("--" + key + "=" + it->second +
+    throw std::invalid_argument("--" + key + "=" + entry->value +
                                 ": expected " + what);
   }
 
-  std::map<std::string, std::string> values_;
+  std::map<std::string, Entry> values_;
 };
 
 /// Renders a depth-projected {1, D, H, W} volume as ASCII art — the

@@ -35,10 +35,13 @@ int run(int argc, char** argv) {
   gen.sim.voxels = flags.get_int("voxels", 32);
   gen.sim.use_2lpt = flags.get_int("2lpt", 0) != 0;
   gen.seed = static_cast<std::uint64_t>(flags.get_int("seed", 1));
+  const std::size_t per_shard = static_cast<std::size_t>(
+      flags.get_int("samples-per-shard", 16));
 
   // Splits hold out whole simulations; check them before simulating
   // anything instead of failing at the shard write.
   const std::int64_t sims = flags.get_int("sims", 24);
+  flags.reject_unknown();
   const data::SplitCounts split = data::split_group_counts(
       gen.simulations, gen.val_fraction, gen.test_fraction);
   if (sims < 1 || split.train == 0 || split.val == 0 || split.test == 0) {
@@ -91,8 +94,6 @@ int run(int argc, char** argv) {
     }
   }
 
-  const std::size_t per_shard = static_cast<std::size_t>(
-      flags.get_int("samples-per-shard", 16));
   const auto train_shards =
       data::write_shards(dataset.train, out, "train", per_shard, gen.seed);
   const auto val_shards =

@@ -42,6 +42,7 @@ int run(int argc, char** argv) {
   const std::string dir = flags.get_string("data", "/tmp/cosmoflow_data");
   const std::string ckpt =
       flags.get_string("checkpoint", "/tmp/cosmoflow.ckpt");
+  flags.reject_unknown();
 
   const auto test_shards = find_shards(dir, "test");
   if (test_shards.empty()) {

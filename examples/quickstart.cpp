@@ -28,6 +28,7 @@ int run(int argc, char** argv) {
   core::TrainerConfig config;
   config.nranks = static_cast<int>(flags.get_int("ranks", 2));
   config.epochs = static_cast<int>(flags.get_int("epochs", 6));
+  flags.reject_unknown();
   config.base_lr = 4e-3;
 
   // 1. Simulate.

@@ -40,6 +40,12 @@ int run(int argc, char** argv) {
   const std::string ckpt = flags.get_string("checkpoint", "");
   const std::size_t requests =
       static_cast<std::size_t>(flags.get_int("requests", 8));
+  serve::ServerConfig config;
+  config.workers = static_cast<std::size_t>(flags.get_int("workers", 2));
+  config.max_batch =
+      static_cast<std::size_t>(flags.get_int("max-batch", 4));
+  config.max_delay_seconds =
+      flags.get_double("max-delay-us", 2000.0) * 1e-6;
 
   // The model is built (or loaded) once and then shared read-only by
   // every worker stream — a const handle is all the server needs.
@@ -48,6 +54,7 @@ int run(int argc, char** argv) {
   // (DESIGN.md §2.5).
   const dnn::Precision precision =
       dnn::precision_from_string(flags.get_string("precision", "fp32"));
+  flags.reject_unknown();
   const core::TopologyConfig topology = core::topology_for_input(dhw);
   auto net = std::make_shared<dnn::Network>(core::build_network(topology, 7));
   if (!ckpt.empty()) {
@@ -59,12 +66,6 @@ int run(int argc, char** argv) {
   }
   const std::shared_ptr<const dnn::Network> network = net;
 
-  serve::ServerConfig config;
-  config.workers = static_cast<std::size_t>(flags.get_int("workers", 2));
-  config.max_batch =
-      static_cast<std::size_t>(flags.get_int("max-batch", 4));
-  config.max_delay_seconds =
-      flags.get_double("max-delay-us", 2000.0) * 1e-6;
   config.precision = precision;
   serve::Server server(network, config);
   std::printf("serving %s: %zu workers, max batch %zu, max delay "

@@ -76,6 +76,10 @@ int run(int argc, char** argv) {
   }
 
   const std::string dir = flags.get_string("data", "/tmp/cosmoflow_data");
+  const std::string preset = flags.get_string("preset", "");
+  const std::string ckpt =
+      flags.get_string("checkpoint", "/tmp/cosmoflow.ckpt");
+  flags.reject_unknown();
   const auto train_shards = find_shards(dir, "train");
   const auto val_shards = find_shards(dir, "val");
   if (train_shards.empty() || val_shards.empty()) {
@@ -100,7 +104,6 @@ int run(int argc, char** argv) {
   // --preset picks a stock topology by name (cosmoflow-128 for the
   // paper's canonical network); the default infers one from the data's
   // input size. Either way the network must match the shards.
-  const std::string preset = flags.get_string("preset", "");
   core::TopologyConfig topology;
   try {
     topology = preset.empty() ? core::topology_for_input(dhw)
@@ -176,8 +179,6 @@ int run(int argc, char** argv) {
     std::printf("step log written to %s\n", config.step_log_path.c_str());
   }
 
-  const std::string ckpt =
-      flags.get_string("checkpoint", "/tmp/cosmoflow.ckpt");
   core::save_checkpoint(ckpt, trainer.topology().name, trainer.network(0));
   std::printf("\ncheckpoint written to %s\n", ckpt.c_str());
   std::printf("next: ./examples/predict_params --data=%s "

@@ -53,7 +53,7 @@ run_one() {
       # Graph*.* rides every leg: slot-colored act/diff arenas, the
       # shared fan-in accumulation buffer, and shape-view weight
       # aliasing are all raw-offset arena arithmetic.
-      filter='Memplan*.*:Network*.*:Context*.*:*/BlockedConvVsReference.*:Shapes/FusedConvVsUnfused*.*:FusedDenseVsUnfused*.*:Fusion*.*:AvgPool*.*:Flatten*.*:Threads/ConvThreadInvariance*.*:Precision*.*:Intraop*.*:*/Intraop*.*:Graph*.*:Crc32c*.*:Cfrecord*.*:CfrecordFuzz*.*:SampleSerialization*.*:DataPath*.*'
+      filter='Memplan*.*:Network*.*:Context*.*:*/BlockedConvVsReference.*:Shapes/FusedConvVsUnfused*.*:Shapes/FusedPoolVsUnfused*.*:FusedDenseVsUnfused*.*:Fusion*.*:AvgPool*.*:Flatten*.*:Threads/ConvThreadInvariance*.*:Precision*.*:Intraop*.*:*/Intraop*.*:Graph*.*:Crc32c*.*:Cfrecord*.*:CfrecordFuzz*.*:SampleSerialization*.*:DataPath*.*'
       ;;
     tsan)
       cmake_flag="-DCOSMOFLOW_TSAN=ON"
@@ -81,13 +81,13 @@ run_one() {
       env_value="halt_on_error=1 print_stacktrace=1"
       # The CRC kernels' word loads and the cfrecord framing offsets
       # are exactly the unsigned/pointer arithmetic UBSan checks.
-      filter='Shapes/FusedConvVsUnfused*.*:FusedDenseVsUnfused*.*:Fusion*.*:*/BlockedConvVsReference.*:Threads/ConvThreadInvariance*.*:Adam*.*:LarcFixture*.*:LarcAdamIntegration*.*:SgdMomentum*.*:Network*.*:Context*.*:Flatten*.*:Precision*.*:Intraop*.*:*/Intraop*.*:Graph*.*:Crc32c*.*:Cfrecord*.*:CfrecordFuzz*.*'
+      filter='Shapes/FusedConvVsUnfused*.*:Shapes/FusedPoolVsUnfused*.*:FusedDenseVsUnfused*.*:Fusion*.*:*/BlockedConvVsReference.*:Threads/ConvThreadInvariance*.*:Adam*.*:LarcFixture*.*:LarcAdamIntegration*.*:SgdMomentum*.*:Network*.*:Context*.*:Flatten*.*:Precision*.*:Intraop*.*:*/Intraop*.*:Graph*.*:Crc32c*.*:Cfrecord*.*:CfrecordFuzz*.*'
       ;;
     portable)
       cmake_flag="-DCOSMOFLOW_NATIVE_ARCH=OFF"
       env_name=""
       env_value=""
-      filter='*/BlockedConvVsReference.*:Conv3d*.*:Threads/ConvThreadInvariance*.*:Shapes/FusedConvVsUnfused*.*:FusedDenseVsUnfused*.*:Fusion*.*:Precision*.*:Intraop*.*:*/Intraop*.*:Graph*.*'
+      filter='*/BlockedConvVsReference.*:Conv3d*.*:Threads/ConvThreadInvariance*.*:Shapes/FusedConvVsUnfused*.*:Shapes/FusedPoolVsUnfused*.*:FusedDenseVsUnfused*.*:Fusion*.*:Precision*.*:Intraop*.*:*/Intraop*.*:Graph*.*'
       ;;
     *)
       echo "unknown leg '$san' (expected asan, tsan, ubsan or portable)" >&2

@@ -72,6 +72,10 @@ void load_checkpoint(const std::string& path,
   std::uint32_t stored_crc = 0;
   in.read(reinterpret_cast<char*>(&stored_crc), 4);
   if (!in) throw std::runtime_error("load_checkpoint: truncated " + path);
+  if (in.peek() != std::ifstream::traits_type::eof()) {
+    throw std::runtime_error("load_checkpoint: trailing bytes after the "
+                             "checksum in " + path);
+  }
   const std::uint32_t crc = data::crc32c(
       {reinterpret_cast<const std::uint8_t*>(params.data()),
        params.size() * sizeof(float)});

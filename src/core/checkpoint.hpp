@@ -14,7 +14,9 @@ void save_checkpoint(const std::string& path, const std::string& topology,
                      const dnn::Network& network);
 
 /// Loads parameters saved with save_checkpoint into `network`. Throws
-/// if the topology name or parameter count does not match.
+/// std::runtime_error, leaving `network` untouched, if the file is
+/// unreadable, truncated, carries bytes after its checksum, fails the
+/// checksum, or names another topology or parameter count.
 void load_checkpoint(const std::string& path,
                      const std::string& expected_topology,
                      dnn::Network& network);

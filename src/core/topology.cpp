@@ -94,7 +94,13 @@ TopologyConfig cosmoflow_scaled(std::int64_t input_dhw) {
 }
 
 TopologyConfig topology_for_input(std::int64_t input_dhw) {
-  return input_dhw == 128 ? cosmoflow_128() : cosmoflow_scaled(input_dhw);
+  if (input_dhw == 128) return cosmoflow_128();
+  for (const std::int64_t dhw : {8, 16, 32, 64}) {
+    if (input_dhw == dhw) return cosmoflow_scaled(dhw);
+  }
+  throw std::invalid_argument(
+      "topology_for_input: supported inputs are 8, 16, 32, 64, 128 (got " +
+      std::to_string(input_dhw) + ")");
 }
 
 TopologyConfig preset_topology(const std::string& name) {

@@ -52,7 +52,8 @@ TopologyConfig cosmoflow_64_baseline();
 TopologyConfig cosmoflow_scaled(std::int64_t input_dhw);
 
 /// Picks the topology matching an input size: the canonical network
-/// for 128, the scaled variants otherwise.
+/// for 128, the scaled variants for 8, 16, 32 and 64. Any other size
+/// throws std::invalid_argument listing the supported inputs.
 TopologyConfig topology_for_input(std::int64_t input_dhw);
 
 /// Looks up a stock topology by preset name — the --preset flag of

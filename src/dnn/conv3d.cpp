@@ -22,9 +22,11 @@
 #include <algorithm>
 #include <array>
 #include <cmath>
+#include <cstdint>
 #include <cstring>
 #include <span>
 #include <stdexcept>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -117,12 +119,25 @@ struct PairTap {
   const Wt* w1;
 };
 
+inline float widen(float v) { return v; }
+inline float widen(bf16_t v) { return bf16_to_float(v); }
+inline void narrow(float v, float* p) { *p = v; }
+inline void narrow(float v, bf16_t* p) { *p = float_to_bf16(v); }
+
 #if defined(__AVX512F__)
 
-inline __m512 load_w16(const float* p) { return _mm512_loadu_ps(p); }
-inline __m512 load_w16(const bf16_t* p) { return bf16_load_16(p); }
-inline void store_out16(float* p, __m512 v) { _mm512_storeu_ps(p, v); }
-inline void store_out16(bf16_t* p, __m512 v) { bf16_store_16(p, v); }
+inline __m512 load16(const float* p) { return _mm512_loadu_ps(p); }
+inline __m512 load16(const bf16_t* p) { return bf16_load_16(p); }
+inline void store16(float* p, __m512 v) { _mm512_storeu_ps(p, v); }
+inline void store16(bf16_t* p, __m512 v) { bf16_store_16(p, v); }
+
+/// The fused LeakyReLU on 16 lanes: `v > 0 ? v : slope * v`, NaN
+/// included (it takes the slope) — the standalone layer's float ops.
+inline __m512 lrelu16(__m512 v, __m512 vslope) {
+  return _mm512_mask_blend_ps(
+      _mm512_cmp_ps_mask(v, _mm512_setzero_ps(), _CMP_GT_OQ),
+      _mm512_mul_ps(vslope, v), v);
+}
 
 /// Paired held-accumulator forward kernel: N output positions x 2
 /// output-channel blocks of accumulators (16 zmm registers at N = 8),
@@ -155,8 +170,8 @@ void fwd_row_pair(Ot* __restrict d0, Ot* __restrict d1, bool dual,
     const Wt* w0 = taps[t].w0;
     const Wt* w1 = taps[t].w1;
     for (int ic = 0; ic < kB; ++ic) {
-      const __m512 wv0 = load_w16(w0 + ic * kB);
-      const __m512 wv1 = load_w16(w1 + ic * kB);
+      const __m512 wv0 = load16(w0 + ic * kB);
+      const __m512 wv1 = load16(w1 + ic * kB);
 #pragma GCC unroll 8
       for (int j = 0; j < N; ++j) {
         const __m512 sv = _mm512_set1_ps(s[j * sstep + ic]);
@@ -166,26 +181,15 @@ void fwd_row_pair(Ot* __restrict d0, Ot* __restrict d1, bool dual,
     }
   }
   const __m512 vslope = _mm512_set1_ps(slope);
-  const auto lrelu = [&](__m512 v) {
-    return fused ? _mm512_mask_blend_ps(
-                       _mm512_cmp_ps_mask(v, _mm512_setzero_ps(),
-                                          _CMP_GT_OQ),
-                       _mm512_mul_ps(vslope, v), v)
-                 : v;
-  };
+  const auto lrelu = [&](__m512 v) { return fused ? lrelu16(v, vslope) : v; };
 #pragma GCC unroll 8
-  for (int j = 0; j < N; ++j) store_out16(d0 + j * kB, lrelu(a[j]));
+  for (int j = 0; j < N; ++j) store16(d0 + j * kB, lrelu(a[j]));
   if (!dual) return;
 #pragma GCC unroll 8
-  for (int j = 0; j < N; ++j) store_out16(d1 + j * kB, lrelu(b[j]));
+  for (int j = 0; j < N; ++j) store16(d1 + j * kB, lrelu(b[j]));
 }
 
 #else  // portable fallback
-
-inline float widen(float v) { return v; }
-inline float widen(bf16_t v) { return bf16_to_float(v); }
-inline void narrow(float v, float* p) { *p = v; }
-inline void narrow(float v, bf16_t* p) { *p = float_to_bf16(v); }
 
 template <int N, int S, class Wt, class Ot>
 void fwd_row_pair(Ot* __restrict d0, Ot* __restrict d1, bool dual,
@@ -249,37 +253,191 @@ void fwd_row(Ot* d0, Ot* d1, bool dual, const float* bias0,
   }
 }
 
-/// One ddst row of the backward sweep (Conv3d::backward_sweep): mask
-/// each ddst vector with the fused LeakyReLU derivative when `yrow` is
-/// set (writing it back when `store`), add it to the bias accumulator,
-/// and FMA it into N (ic, tap) weight-gradient accumulators. `taps[t]`
+#if defined(__AVX512F__)
+
+/// First-layer (IC == 1) forward row: 8 x 16-lane accumulator
+/// registers per output-row block, held across the whole kernel
+/// window, then the fused LeakyReLU and the store (RNE-narrowed when Ot
+/// is bf16_t) straight from the registers. `splanes[tap]` is the padded
+/// single-channel source plane at (id, ih), `wtaps[tap]` the {K, 16oc}
+/// weight rows for this (kd, kh).
+template <class Wt, class Ot>
+void micro_fwd_row_ic1(Ot* __restrict dst_row, const float* __restrict bias16,
+                       const float* const* splanes, const Wt* const* wtaps,
+                       std::int64_t taps, std::int64_t kernel_w,
+                       std::int64_t count, std::int64_t stride, bool fused,
+                       float slope) {
+  const __m512 vslope = _mm512_set1_ps(slope);
+  const auto out = [&](std::int64_t ow, __m512 v) {
+    store16(dst_row + ow * kB, fused ? lrelu16(v, vslope) : v);
+  };
+  std::int64_t ow = 0;
+  for (; ow + kOwBlock <= count; ow += kOwBlock) {
+    const __m512 b = _mm512_loadu_ps(bias16);
+    __m512 a0 = b, a1 = b, a2 = b, a3 = b, a4 = b, a5 = b, a6 = b, a7 = b;
+    for (std::int64_t tap = 0; tap < taps; ++tap) {
+      const float* s = splanes[tap] + ow * stride;
+      const Wt* w = wtaps[tap];
+      for (std::int64_t kw = 0; kw < kernel_w; ++kw) {
+        const __m512 wv = load16(w + kw * kB);
+        a0 = _mm512_fmadd_ps(wv, _mm512_set1_ps(s[0 * stride + kw]), a0);
+        a1 = _mm512_fmadd_ps(wv, _mm512_set1_ps(s[1 * stride + kw]), a1);
+        a2 = _mm512_fmadd_ps(wv, _mm512_set1_ps(s[2 * stride + kw]), a2);
+        a3 = _mm512_fmadd_ps(wv, _mm512_set1_ps(s[3 * stride + kw]), a3);
+        a4 = _mm512_fmadd_ps(wv, _mm512_set1_ps(s[4 * stride + kw]), a4);
+        a5 = _mm512_fmadd_ps(wv, _mm512_set1_ps(s[5 * stride + kw]), a5);
+        a6 = _mm512_fmadd_ps(wv, _mm512_set1_ps(s[6 * stride + kw]), a6);
+        a7 = _mm512_fmadd_ps(wv, _mm512_set1_ps(s[7 * stride + kw]), a7);
+      }
+    }
+    out(ow + 0, a0);
+    out(ow + 1, a1);
+    out(ow + 2, a2);
+    out(ow + 3, a3);
+    out(ow + 4, a4);
+    out(ow + 5, a5);
+    out(ow + 6, a6);
+    out(ow + 7, a7);
+  }
+  for (; ow < count; ++ow) {
+    __m512 a = _mm512_loadu_ps(bias16);
+    for (std::int64_t tap = 0; tap < taps; ++tap) {
+      const float* s = splanes[tap] + ow * stride;
+      const Wt* w = wtaps[tap];
+      for (std::int64_t kw = 0; kw < kernel_w; ++kw) {
+        a = _mm512_fmadd_ps(load16(w + kw * kB), _mm512_set1_ps(s[kw]), a);
+      }
+    }
+    out(ow, a);
+  }
+}
+
+#endif  // __AVX512F__
+
+/// Writes a finished fp32 accumulator row: the fused LeakyReLU in place
+/// (the standalone LeakyRelu's float ops — compare, multiply — so the
+/// fused output is bitwise identical), then a copy or the RNE narrowing
+/// to bf16.
+template <class Ot>
+void store_row(float* __restrict acc, Ot* drow, std::int64_t n, bool fused,
+               float slope) {
+  if (fused) {
+    for (std::int64_t i = 0; i < n; ++i) {
+      const float v = acc[i];
+      acc[i] = v > 0.0f ? v : slope * v;
+    }
+  }
+  if constexpr (std::is_same_v<Ot, float>) {
+    std::memcpy(drow, acc, static_cast<std::size_t>(n) * sizeof(float));
+  } else {
+    bf16_from_f32(acc, drow, static_cast<std::size_t>(n));
+  }
+}
+
+/// AvgPool(2) over four stored conv rows (row r = window offset
+/// (kd, kh) = (r / 2, r % 2), `row_len` elements apart): out[pw] is
+/// the sum of the window's eight values, taken from zero in AvgPool3d's
+/// kd -> kh -> kw order after widening, times 0.125f — the standalone
+/// pool's float ops in both precisions.
+template <class Ot>
+void avg_pool_rows(const Ot* rows, std::int64_t row_len, std::int64_t count,
+                   Ot* out) {
+#if defined(__AVX512F__)
+  const __m512 inv = _mm512_set1_ps(0.125f);
+  for (std::int64_t pw = 0; pw < count; ++pw) {
+    __m512 acc = _mm512_setzero_ps();
+    for (std::int64_t r = 0; r < 4; ++r) {
+      const Ot* s = rows + r * row_len + 2 * pw * kB;
+      acc = _mm512_add_ps(acc, load16(s));
+      acc = _mm512_add_ps(acc, load16(s + kB));
+    }
+    store16(out + pw * kB, _mm512_mul_ps(acc, inv));
+  }
+#else
+  for (std::int64_t pw = 0; pw < count; ++pw) {
+    float acc[kB] = {};
+    for (std::int64_t r = 0; r < 4; ++r) {
+      const Ot* s = rows + r * row_len + 2 * pw * kB;
+      for (int kw = 0; kw < 2; ++kw) {
+        for (int c = 0; c < kB; ++c) acc[c] += widen(s[kw * kB + c]);
+      }
+    }
+    for (int c = 0; c < kB; ++c) narrow(acc[c] * 0.125f, out + pw * kB + c);
+  }
+#endif
+}
+
+/// bits[ow] = the lanes of conv output row `row` at ow with y > 0: the
+/// fused LeakyReLU's derivative, all the backward needs of the output.
+template <class Ot>
+void record_mask(const Ot* row, std::int64_t count, std::uint16_t* bits) {
+  for (std::int64_t ow = 0; ow < count; ++ow) {
+#if defined(__AVX512F__)
+    bits[ow] = _mm512_cmp_ps_mask(load16(row + ow * kB), _mm512_setzero_ps(),
+                                  _CMP_GT_OQ);
+#else
+    unsigned b = 0;
+    for (int c = 0; c < kB; ++c) {
+      b |= (widen(row[ow * kB + c]) > 0.0f ? 1u : 0u) << c;
+    }
+    bits[ow] = static_cast<std::uint16_t>(b);
+#endif
+  }
+}
+
+/// One conv-output row of the backward sweep (Conv3d::backward_sweep).
+struct SweepRowArgs {
+  float* drow = nullptr;  // full-resolution ddst row
+  // Unpooled: the forward output row, the fused mask source (null when
+  // the layer is unfused or the row was masked by an earlier group).
+  const float* yrow = nullptr;
+  const float* prow = nullptr;          // pooled: the pooled ddst row
+  const std::uint16_t* mrow = nullptr;  // pooled: the row's y > 0 bits
+  float slope = 0.0f;
+  bool store = false;  // write the masked row to drow
+};
+
+/// Masks each ddst vector with the fused LeakyReLU derivative, adds it
+/// to the bias accumulator and FMAs it into N (ic, tap) weight-gradient
+/// accumulators. Unpooled, the vector is read from drow and masked by
+/// yrow; pooled, it is the pooled vector times 0.125f, masked by mrow —
+/// the unfused AvgPool3d backward's multiply, then the mask's. `taps[t]`
 /// is tap t's padded source row at ow = 0. Accumulators stay in
-/// registers across the row, so each ddst vector is loaded once;
-/// `bias` is read and written only when non-null.
+/// registers across the row, so each ddst vector is loaded once; `bias`
+/// is read and written only when non-null.
 constexpr int kTapGroup = 27;  // IC = 1, k = 3: 27 of 32 zmm registers
 
 #if defined(__AVX512F__)
 
-template <int N>
+template <int N, bool kPooled>
 void sweep_row(float* __restrict acc, float* __restrict bias,
-               const float* const* __restrict taps, float* __restrict drow,
-               const float* __restrict yrow, float slope, bool store,
+               const float* const* __restrict taps, const SweepRowArgs& in,
                std::int64_t count, std::int64_t stride) {
+  float* __restrict drow = in.drow;
   __m512 a[N > 0 ? N : 1];
 #pragma GCC unroll 32
   for (int t = 0; t < N; ++t) a[t] = _mm512_loadu_ps(acc + t * kB);
   __m512 b = bias != nullptr ? _mm512_loadu_ps(bias) : _mm512_setzero_ps();
-  const __m512 vslope = _mm512_set1_ps(slope);
+  const __m512 vslope = _mm512_set1_ps(in.slope);
+  const __m512 vscale = _mm512_set1_ps(0.125f);
   for (std::int64_t ow = 0; ow < count; ++ow) {
-    __m512 d = _mm512_loadu_ps(drow + ow * kB);
-    if (yrow != nullptr) {
-      // Lanes with !(y > 0), NaN included, take the slope: exactly the
-      // scalar `y > 0 ? d : slope * d`.
-      const __mmask16 neg =
-          _mm512_cmp_ps_mask(_mm512_loadu_ps(yrow + ow * kB),
-                             _mm512_setzero_ps(), _CMP_NGT_UQ);
-      d = _mm512_mask_mul_ps(d, neg, d, vslope);
-      if (store) _mm512_storeu_ps(drow + ow * kB, d);
+    __m512 d;
+    if constexpr (kPooled) {
+      d = _mm512_mul_ps(_mm512_loadu_ps(in.prow + ow / 2 * kB), vscale);
+      d = _mm512_mask_mul_ps(d, static_cast<__mmask16>(~in.mrow[ow]), d,
+                             vslope);
+      if (in.store) _mm512_storeu_ps(drow + ow * kB, d);
+    } else {
+      d = _mm512_loadu_ps(drow + ow * kB);
+      if (in.yrow != nullptr) {
+        // Lanes with !(y > 0), NaN included, take the slope: exactly
+        // the scalar `y > 0 ? d : slope * d`.
+        const __mmask16 neg =
+            _mm512_cmp_ps_mask(_mm512_loadu_ps(in.yrow + ow * kB),
+                               _mm512_setzero_ps(), _CMP_NGT_UQ);
+        d = _mm512_mask_mul_ps(d, neg, d, vslope);
+        if (in.store) _mm512_storeu_ps(drow + ow * kB, d);
+      }
     }
     b = _mm512_add_ps(b, d);
     const std::int64_t s = ow * stride;
@@ -295,19 +453,28 @@ void sweep_row(float* __restrict acc, float* __restrict bias,
 
 #else  // portable fallback
 
-template <int N>
+template <int N, bool kPooled>
 void sweep_row(float* __restrict acc, float* __restrict bias,
-               const float* const* __restrict taps, float* __restrict drow,
-               const float* __restrict yrow, float slope, bool store,
+               const float* const* __restrict taps, const SweepRowArgs& in,
                std::int64_t count, std::int64_t stride) {
+  float* __restrict drow = in.drow;
   float b[kB];
   for (int oc = 0; oc < kB; ++oc) b[oc] = bias != nullptr ? bias[oc] : 0.0f;
   for (std::int64_t ow = 0; ow < count; ++ow) {
     float d[kB];
     for (int oc = 0; oc < kB; ++oc) {
-      const float v = drow[ow * kB + oc];
-      d[oc] = yrow == nullptr || yrow[ow * kB + oc] > 0.0f ? v : slope * v;
-      if (yrow != nullptr && store) drow[ow * kB + oc] = d[oc];
+      if constexpr (kPooled) {
+        const float v = in.prow[ow / 2 * kB + oc] * 0.125f;
+        d[oc] = (in.mrow[ow] >> oc & 1u) != 0 ? v : in.slope * v;
+      } else {
+        const float v = drow[ow * kB + oc];
+        d[oc] = in.yrow == nullptr || in.yrow[ow * kB + oc] > 0.0f
+                    ? v
+                    : in.slope * v;
+      }
+      if ((kPooled || in.yrow != nullptr) && in.store) {
+        drow[ow * kB + oc] = d[oc];
+      }
       b[oc] += d[oc];
     }
     for (int t = 0; t < N; ++t) {
@@ -320,19 +487,20 @@ void sweep_row(float* __restrict acc, float* __restrict bias,
 
 #endif  // __AVX512F__
 
-using SweepRowFn = void (*)(float*, float*, const float* const*, float*,
-                            const float*, float, bool, std::int64_t,
-                            std::int64_t);
+using SweepRowFn = void (*)(float*, float*, const float* const*,
+                            const SweepRowArgs&, std::int64_t, std::int64_t);
 
-template <std::size_t... N>
+template <bool kPooled, std::size_t... N>
 constexpr std::array<SweepRowFn, sizeof...(N)> make_sweep_rows(
     std::index_sequence<N...>) {
-  return {&sweep_row<static_cast<int>(N)>...};
+  return {&sweep_row<static_cast<int>(N), kPooled>...};
 }
 
-/// sweep_row<n> for every group size n in [0, kTapGroup].
-constexpr auto kSweepRow =
-    make_sweep_rows(std::make_index_sequence<kTapGroup + 1>{});
+/// sweep_row<n, pooled> at kSweepRow[pooled][n], for every group size n
+/// in [0, kTapGroup].
+constexpr std::array<std::array<SweepRowFn, kTapGroup + 1>, 2> kSweepRow = {
+    make_sweep_rows<false>(std::make_index_sequence<kTapGroup + 1>{}),
+    make_sweep_rows<true>(std::make_index_sequence<kTapGroup + 1>{})};
 
 /// dst[e] += sum over `slabs` partial rows (`stride` floats apart) of
 /// element e, for e < n — summed in double, in slab order.
@@ -342,27 +510,6 @@ void add_slab_sums(const float* partials, std::int64_t slabs,
     double sum = 0.0;
     for (std::int64_t s = 0; s < slabs; ++s) sum += partials[s * stride + e];
     dst[e] += static_cast<float>(sum);
-  }
-}
-
-/// Fused-epilogue output write: dst[i] = lrelu(acc[i]). Same float ops
-/// (compare, multiply) the standalone LeakyRelu would apply to the
-/// memcpy'd values, so the fused output is bitwise identical.
-inline void store_row_eltwise(float* __restrict dst,
-                              const float* __restrict acc, std::int64_t n,
-                              float slope) {
-  for (std::int64_t i = 0; i < n; ++i) {
-    const float v = acc[i];
-    dst[i] = v > 0.0f ? v : slope * v;
-  }
-}
-
-/// In-place variant for kernels that write dst rows directly.
-inline void apply_eltwise_row(float* __restrict row, std::int64_t n,
-                              float slope) {
-  for (std::int64_t i = 0; i < n; ++i) {
-    const float v = row[i];
-    row[i] = v > 0.0f ? v : slope * v;
   }
 }
 
@@ -529,7 +676,15 @@ Shape Conv3d::plan(const Shape& input) {
   }
   bias_ = Tensor(Shape{config_.out_channels});
 
-  const Shape out{ocb, out_d_, out_h_, out_w_, kB};
+  Shape out{ocb, out_d_, out_h_, out_w_, kB};
+  if (pooled_) {
+    if (out_d_ < 2 || out_h_ < 2 || out_w_ < 2) {
+      throw std::invalid_argument("Conv3d::plan: " + name() +
+                                  " has a fused pool over conv output " +
+                                  out.to_string());
+    }
+    out = Shape{ocb, out_d_ / 2, out_h_ / 2, out_w_ / 2, kB};
+  }
   set_shapes(input, out);
   return out;
 }
@@ -552,10 +707,15 @@ FlopCounts Conv3d::flops() const {
   if (fused_) {
     // The absorbed LeakyReLU: one op per output element in the forward
     // epilogue and one in the backward-entry mask.
-    const std::int64_t out_numel =
-        config_.out_channels * out_d_ * out_h_ * out_w_;
-    counts.fwd += out_numel;
-    counts.bwd_weights += out_numel;
+    counts.fwd += conv_numel();
+    counts.bwd_weights += conv_numel();
+  }
+  if (pooled_) {
+    // The absorbed AvgPool3d's k^3 + 1 ops per pooled output, forward
+    // and backward (its backward runs in the sweep, under bww).
+    const std::int64_t pool_ops = output_shape().numel() * 9;
+    counts.fwd += pool_ops;
+    counts.bwd_weights += pool_ops;
   }
   return counts;
 }
@@ -566,6 +726,14 @@ bool Conv3d::fuse_leaky_relu(float slope) {
   if (slope < 0.0f || slope >= 1.0f) return false;
   fused_ = true;
   slope_ = slope;
+  return true;
+}
+
+bool Conv3d::fuse_avg_pool() {
+  // The backward recovers the pool's input gradient only under the
+  // fused LeakyReLU's mask.
+  if (!fused_ || pooled_) return false;
+  pooled_ = true;
   return true;
 }
 
@@ -621,23 +789,39 @@ Tensor Conv3d::plain_weight_grads() {
                                             config_.in_channels);
 }
 
-std::size_t Conv3d::forward_workspace_floats() const {
+std::size_t Conv3d::padded_floats() const {
   const std::int64_t planes = plain_input_
                                   ? config_.in_channels
                                   : (config_.in_channels / kB) * kB;
   return static_cast<std::size_t>(planes * pd_ * ph_ * pw_);
 }
 
+std::size_t Conv3d::forward_workspace_floats() const {
+  // A fused pool's mask: one uint16 per conv output position, two to a
+  // float.
+  const std::int64_t mask = pooled_ ? (conv_numel() / kB + 1) / 2 : 0;
+  return padded_floats() + static_cast<std::size_t>(mask);
+}
+
+std::uint16_t* Conv3d::pool_mask(const LayerExecState& exec) const {
+  if (!pooled_ || exec.workspace_shared) return nullptr;
+  return reinterpret_cast<std::uint16_t*>(exec.workspace.data() +
+                                          padded_floats());
+}
+
 std::size_t Conv3d::backward_scratch_floats() const {
   // One partial per (ocb, od) slab of the backward sweep: every weight
   // tap of a plain source plus the bias. Backward-data of a blocked
   // source later reuses the scratch for its transposed weight tiles.
+  // A fused pool's blocked source first needs the full-resolution
+  // masked ddst that bww and backward-data read.
   const std::int64_t ocb_count = config_.out_channels / kB;
   const std::int64_t weights = static_cast<std::int64_t>(weights_.size());
   const std::int64_t slabs = ocb_count * out_d_;
+  const std::int64_t expanded = pooled_ && !plain_input_ ? conv_numel() : 0;
   return static_cast<std::size_t>(
-      plain_input_ ? slabs * (weights / ocb_count + kB)
-                   : std::max(weights, slabs * kB));
+      expanded + (plain_input_ ? slabs * (weights / ocb_count + kB)
+                               : std::max(weights, slabs * kB)));
 }
 
 namespace {
@@ -712,8 +896,7 @@ void copy_padded_plain(const Tensor& src, float* padded, const PadSpec& pd,
 
 void Conv3d::stage_padded_src(const Tensor& src, LayerExecState& exec,
                               runtime::ThreadPool& pool) const {
-  const std::size_t need = forward_workspace_floats();
-  if (exec.workspace.size() < need) {
+  if (exec.workspace.size() < forward_workspace_floats()) {
     throw std::logic_error("Conv3d: workspace smaller than "
                            "forward_workspace_floats()");
   }
@@ -723,7 +906,7 @@ void Conv3d::stage_padded_src(const Tensor& src, LayerExecState& exec,
     // once at context creation and only ever rewritten in the interior,
     // so it skips this (the padding values are zeros either way — the
     // kernels see identical bits).
-    std::memset(exec.workspace.data(), 0, need * sizeof(float));
+    std::memset(exec.workspace.data(), 0, padded_floats() * sizeof(float));
   }
   if (plain_input_) {
     copy_padded_plain(src, exec.workspace.data(), pad_d_, pad_h_, pad_w_,
@@ -742,11 +925,11 @@ void Conv3d::forward(const Tensor& src, Tensor& dst, LayerExecState& exec,
   }
   stage_padded_src(src, exec, pool);
   if (plain_input_) {
-    forward_plain_src(src, dst, exec.workspace.data(), pool,
-                      exec.intraop_grain);
+    forward_plain_src(exec.workspace.data(), weights_.data(), dst.data(),
+                      pool_mask(exec), pool, exec.intraop_grain);
   } else {
-    forward_blocked(exec.workspace.data(), weights_.data(), dst.data(), pool,
-                    exec.intraop_grain);
+    forward_blocked(exec.workspace.data(), weights_.data(), dst.data(),
+                    pool_mask(exec), pool, exec.intraop_grain);
   }
 }
 
@@ -770,21 +953,53 @@ void Conv3d::backward(const Tensor& src, const Tensor& dst, Tensor& ddst,
   if (exec.grads.size() != 2) {
     throw std::logic_error("Conv3d::backward: exec state has no grads");
   }
+  if (exec.scratch.size() < backward_scratch_floats()) {
+    throw std::logic_error("Conv3d: backward scratch smaller than "
+                           "backward_scratch_floats()");
+  }
+  const Tensor* y = nullptr;  // forward output: the unpooled mask source
+  if (fused_) {
+    if (dst.shape() != output_shape()) {
+      throw std::invalid_argument("Conv3d::backward: dst shape mismatch");
+    }
+    if (!pooled_) y = &dst;
+  }
+  // The masked full-resolution ddst that bww and backward-data read:
+  // ddst itself, masked in place. A fused pool re-expands it instead,
+  // into the front of the scratch for a blocked source, or into a
+  // temporary for the cold plain-source data gradient.
+  float* dfull = ddst.data();
+  std::span<float> scratch = exec.scratch;
+  Tensor plain_dfull;
+  if (pooled_) {
+    if (out_d_ % 2 != 0 || out_h_ % 2 != 0 || out_w_ % 2 != 0) {
+      throw std::logic_error(
+          "Conv3d::backward: a fused pool needs even conv output dims");
+    }
+    if (pool_mask(exec) == nullptr) {
+      throw std::logic_error(
+          "Conv3d::backward: the fused pool's mask needs a private "
+          "workspace");
+    }
+    if (!plain_input_) {
+      dfull = scratch.data();
+      scratch = scratch.subspan(static_cast<std::size_t>(conv_numel()));
+    } else if (need_dsrc) {
+      plain_dfull = Tensor(
+          Shape{config_.out_channels / kB, out_d_, out_h_, out_w_, kB});
+      dfull = plain_dfull.data();
+    } else {
+      dfull = nullptr;
+    }
+  }
   {
     CF_TRACE_SCOPE(span_label_bww().c_str(), "conv");
     const runtime::ScopedTimer timer(exec.timers.bwd_weights);
-    const Tensor* y = nullptr;  // forward output: the fused mask source
-    if (fused_) {
-      if (dst.shape() != output_shape()) {
-        throw std::invalid_argument("Conv3d::backward: dst shape mismatch");
-      }
-      y = &dst;
-    }
-    backward_sweep(y, ddst, need_dsrc, exec, pool);
+    backward_sweep(y, ddst, dfull, need_dsrc, scratch.data(), exec, pool);
     // The padded source copy in the stream's workspace is still valid
     // from this stream's forward().
     if (!plain_input_) {
-      backward_weights_blocked(ddst, exec.workspace.data(), exec.grads[0],
+      backward_weights_blocked(dfull, exec.workspace.data(), exec.grads[0],
                                pool, exec.intraop_grain);
     }
   }
@@ -795,20 +1010,16 @@ void Conv3d::backward(const Tensor& src, const Tensor& dst, Tensor& ddst,
     throw std::invalid_argument("Conv3d::backward: dsrc shape mismatch");
   }
   if (plain_input_) {
-    backward_data_plain_src(ddst, dsrc, pool);
+    backward_data_plain_src(pooled_ ? plain_dfull : ddst, dsrc, pool);
   } else {
-    backward_data_blocked(ddst, dsrc, exec.scratch, pool,
-                          exec.intraop_grain);
+    backward_data_blocked(dfull, dsrc, scratch, pool, exec.intraop_grain);
   }
 }
 
-void Conv3d::backward_sweep(const Tensor* dst, Tensor& ddst, bool need_dsrc,
+void Conv3d::backward_sweep(const Tensor* dst, Tensor& ddst, float* dfull,
+                            bool need_dsrc, float* partials,
                             LayerExecState& exec,
                             runtime::ThreadPool& pool) const {
-  if (exec.scratch.size() < backward_scratch_floats()) {
-    throw std::logic_error("Conv3d: backward scratch smaller than "
-                           "backward_scratch_floats()");
-  }
   const std::int64_t ic_count = config_.in_channels;
   const std::int64_t ocb_count = config_.out_channels / kB;
   const std::int64_t k = config_.kernel;
@@ -820,20 +1031,40 @@ void Conv3d::backward_sweep(const Tensor* dst, Tensor& ddst, bool need_dsrc,
       std::max<std::int64_t>(1, (taps + kTapGroup - 1) / kTapGroup);
   const std::int64_t width = (taps + 1) * kB;  // slab partial + bias
   // The masked ddst goes back to memory only for a later reader: the
-  // next tap group, the blocked bww kernel or the data-gradient pass.
-  const bool store = !plain_input_ || need_dsrc || groups > 1;
-  float* const partials = exec.scratch.data();
+  // blocked bww kernel or the data-gradient pass, and (unpooled) the
+  // next tap group. A pooled row is cheap to rebuild, so every tap
+  // group re-expands it from pooled ddst and the mask.
+  const bool store = pooled_ ? dfull != nullptr
+                             : !plain_input_ || need_dsrc || groups > 1;
+  const std::uint16_t* mask = pool_mask(exec);
+  const std::int64_t pooled_w = out_w_ / 2;
   pool.parallel_for(
       static_cast<std::size_t>(ocb_count * out_d_),
       [&](std::size_t begin, std::size_t end, std::size_t) {
         const float* src[kTapGroup] = {};
         for (std::size_t job = begin; job < end; ++job) {
           const std::int64_t slab = static_cast<std::int64_t>(job);
-          const std::int64_t id0 = slab % out_d_ * stride;
+          const std::int64_t od = slab % out_d_;
+          const std::int64_t id0 = od * stride;
           float* part = partials + slab * width;
           std::fill(part, part + width, 0.0f);
           for (std::int64_t oh = 0; oh < out_h_; ++oh) {
             const std::int64_t row = (slab * out_h_ + oh) * out_w_ * kB;
+            SweepRowArgs in;
+            in.slope = slope_;
+            if (pooled_) {
+              // Conv row (od, oh) of block ocb lies in pooled row
+              // (od / 2, oh / 2) of the same block.
+              const std::int64_t prow =
+                  ((slab / out_d_ * (out_d_ / 2) + od / 2) * (out_h_ / 2) +
+                   oh / 2) *
+                  pooled_w;
+              in.prow = ddst.data() + prow * kB;
+              in.mrow = mask + (slab * out_h_ + oh) * out_w_;
+              in.drow = dfull != nullptr ? dfull + row : nullptr;
+            } else {
+              in.drow = ddst.data() + row;
+            }
             for (std::int64_t g = 0; g < groups; ++g) {
               const std::int64_t t0 = g * kTapGroup;
               const std::int64_t n = std::min<std::int64_t>(kTapGroup,
@@ -848,11 +1079,11 @@ void Conv3d::backward_sweep(const Tensor* dst, Tensor& ddst, bool need_dsrc,
                          kdhw % k;
               }
               const bool first = g == 0;
-              kSweepRow[static_cast<std::size_t>(n)](
+              in.yrow = first && dst != nullptr ? dst->data() + row : nullptr;
+              in.store = first && store;
+              kSweepRow[pooled_ ? 1 : 0][static_cast<std::size_t>(n)](
                   part + t0 * kB, first ? part + taps * kB : nullptr, src,
-                  ddst.data() + row,
-                  first && dst != nullptr ? dst->data() + row : nullptr,
-                  slope_, first && store, out_w_, stride);
+                  in, out_w_, stride);
             }
           }
         }
@@ -869,9 +1100,26 @@ void Conv3d::backward_sweep(const Tensor* dst, Tensor& ddst, bool need_dsrc,
   }
 }
 
+template <class Ot>
+void Conv3d::pool_rows(const Ot* rows, std::int64_t ocb, std::int64_t pd,
+                       std::int64_t ph, Ot* dst, std::uint16_t* mask) const {
+  const std::int64_t row_len = out_w_ * kB;
+  const std::int64_t pooled_w = out_w_ / 2;
+  avg_pool_rows(
+      rows, row_len, pooled_w,
+      dst + ((ocb * (out_d_ / 2) + pd) * (out_h_ / 2) + ph) * pooled_w * kB);
+  if (mask == nullptr) return;
+  for (std::int64_t r = 0; r < 4; ++r) {
+    record_mask(rows + r * row_len, out_w_,
+                mask + ((ocb * out_d_ + 2 * pd + r / 2) * out_h_ + 2 * ph +
+                        r % 2) *
+                           out_w_);
+  }
+}
+
 template <class Wt, class Ot>
 void Conv3d::forward_blocked(const float* padded, const Wt* weights, Ot* dst,
-                             runtime::ThreadPool& pool,
+                             std::uint16_t* mask, runtime::ThreadPool& pool,
                              std::size_t grain) const {
   const std::int64_t icb_count = config_.in_channels / kB;
   const std::int64_t ocb_count = config_.out_channels / kB;
@@ -882,26 +1130,37 @@ void Conv3d::forward_blocked(const float* padded, const Wt* weights, Ot* dst,
                                         : fwd_row<0, Wt, Ot>;
   const std::int64_t pair_count = (ocb_count + 1) / 2;
   const std::int64_t slab = icb_count * k * k * k * kB * kB;
+  const std::int64_t row_len = out_w_ * kB;
+  const std::int64_t plane = out_d_ * out_h_ * row_len;
+  // A fused pool's dst rows each take a 2 x 2 block of conv rows.
+  const std::int64_t dst_d = pooled_ ? out_d_ / 2 : out_d_;
+  const std::int64_t dst_h = pooled_ ? out_h_ / 2 : out_h_;
 
-  // Jobs over (ocb pair, od) slabs. Each worker flattens the window into
-  // a tap list per output row (icb -> kd -> kh -> kw, the summation
-  // order of every output element) and runs the paired kernel over 8-,
-  // 4- and 1-wide position blocks, specialized for strides 1 and 2. An
-  // odd trailing ocb duplicates its tile into both slots and discards
-  // the second accumulator set.
+  // Jobs over (ocb pair, dst depth) slabs. Each worker flattens the
+  // window into a tap list per conv row (icb -> kd -> kh -> kw, the
+  // summation order of every output element) and runs the paired kernel
+  // over 8-, 4- and 1-wide position blocks, specialized for strides 1
+  // and 2. An odd trailing ocb duplicates its tile into both slots and
+  // discards the second accumulator set. With a fused pool the conv
+  // rows land in a row buffer that pool_rows reduces.
   pool.parallel_for(
-      static_cast<std::size_t>(pair_count * out_d_),
+      static_cast<std::size_t>(pair_count * dst_d),
       [&](std::size_t begin, std::size_t end, std::size_t) {
         std::vector<PairTap<Wt>> taps(
             static_cast<std::size_t>(icb_count * k * k * k));
+        // Fused pool: conv row r of the 2 x 2 block for ocb0 at r, for
+        // ocb1 at 4 + r.
+        std::vector<Ot> rows(static_cast<std::size_t>(pooled_ ? 8 * row_len
+                                                              : 0));
         for (std::size_t job = begin; job < end; ++job) {
-          const std::int64_t ocb0 = static_cast<std::int64_t>(job) / out_d_ * 2;
-          const std::int64_t od = static_cast<std::int64_t>(job) % out_d_;
+          const std::int64_t ocb0 = static_cast<std::int64_t>(job) / dst_d * 2;
+          const std::int64_t dd = static_cast<std::int64_t>(job) % dst_d;
           const std::int64_t ocb1 = std::min(ocb0 + 1, ocb_count - 1);
           const bool dual = ocb1 != ocb0;
           const float* b0 = bias_.data() + ocb0 * kB;
           const float* b1 = bias_.data() + ocb1 * kB;
-          for (std::int64_t oh = 0; oh < out_h_; ++oh) {
+          const auto conv_row = [&](std::int64_t od, std::int64_t oh, Ot* d0,
+                                    Ot* d1) {
             std::size_t ntaps = 0;
             for (std::int64_t icb = 0; icb < icb_count; ++icb) {
               for (std::int64_t kd = 0; kd < k; ++kd) {
@@ -923,12 +1182,117 @@ void Conv3d::forward_blocked(const float* padded, const Wt* weights, Ot* dst,
                 }
               }
             }
-            const std::int64_t row = (od * out_h_ + oh) * out_w_ * kB;
-            Ot* d0 = dst + ocb0 * out_d_ * out_h_ * out_w_ * kB + row;
-            Ot* d1 = dst + ocb1 * out_d_ * out_h_ * out_w_ * kB + row;
             row_kernel(d0, d1, dual, b0, b1, taps.data(),
                        static_cast<std::int64_t>(ntaps), out_w_, stride,
                        fused_, slope_);
+          };
+          for (std::int64_t dh = 0; dh < dst_h; ++dh) {
+            if (!pooled_) {
+              const std::int64_t row = (dd * out_h_ + dh) * row_len;
+              conv_row(dd, dh, dst + ocb0 * plane + row,
+                       dst + ocb1 * plane + row);
+              continue;
+            }
+            Ot* r = rows.data();
+            for (std::int64_t i = 0; i < 4; ++i) {
+              conv_row(2 * dd + i / 2, 2 * dh + i % 2, r + i * row_len,
+                       r + (4 + i) * row_len);
+            }
+            pool_rows<Ot>(r, ocb0, dd, dh, dst, mask);
+            if (dual) pool_rows<Ot>(r + 4 * row_len, ocb1, dd, dh, dst, mask);
+          }
+        }
+      },
+      grain);
+}
+
+template <class Wt, class Ot>
+void Conv3d::forward_plain_src(const float* padded, const Wt* weights,
+                               Ot* dst, std::uint16_t* mask,
+                               runtime::ThreadPool& pool,
+                               std::size_t grain) const {
+  const std::int64_t ic_count = config_.in_channels;
+  const std::int64_t ocb_count = config_.out_channels / kB;
+  const std::int64_t k = config_.kernel;
+  const std::int64_t stride = config_.stride;
+  const std::int64_t row_len = out_w_ * kB;
+  const std::int64_t dst_d = pooled_ ? out_d_ / 2 : out_d_;
+  const std::int64_t dst_h = pooled_ ? out_h_ / 2 : out_h_;
+
+  // Jobs over (ocb, dst depth) slabs, rows as in forward_blocked.
+  pool.parallel_for(
+      static_cast<std::size_t>(ocb_count * dst_d),
+      [&](std::size_t begin, std::size_t end, std::size_t) {
+        std::vector<const float*> splanes(static_cast<std::size_t>(k * k));
+        std::vector<const Wt*> wtaps(static_cast<std::size_t>(k * k));
+        std::vector<float> acc(static_cast<std::size_t>(row_len));
+        std::vector<Ot> rows(static_cast<std::size_t>(pooled_ ? 4 * row_len
+                                                              : 0));
+        for (std::size_t job = begin; job < end; ++job) {
+          const std::int64_t ocb = static_cast<std::int64_t>(job) / dst_d;
+          const std::int64_t dd = static_cast<std::int64_t>(job) % dst_d;
+          const float* bias = bias_.data() + ocb * kB;
+          const auto conv_row = [&](std::int64_t od, std::int64_t oh,
+                                    Ot* drow) {
+#if defined(__AVX512F__)
+            if (ic_count == 1) {
+              // Dedicated first-layer kernel: register accumulators
+              // across the whole window, writing the row directly.
+              std::int64_t tap = 0;
+              for (std::int64_t kd = 0; kd < k; ++kd) {
+                const std::int64_t id = od * stride + kd;
+                for (std::int64_t kh = 0; kh < k; ++kh, ++tap) {
+                  const std::int64_t ih = oh * stride + kh;
+                  splanes[static_cast<std::size_t>(tap)] =
+                      padded + (id * ph_ + ih) * pw_;
+                  wtaps[static_cast<std::size_t>(tap)] =
+                      weights + (((ocb * k + kd) * k + kh) * k) * kB;
+                }
+              }
+              micro_fwd_row_ic1(drow, bias, splanes.data(), wtaps.data(),
+                                k * k, k, out_w_, stride, fused_, slope_);
+              return;
+            }
+#endif  // __AVX512F__
+            for (std::int64_t ow = 0; ow < out_w_; ++ow) {
+              std::memcpy(acc.data() + ow * kB, bias, kB * sizeof(float));
+            }
+            for (std::int64_t kd = 0; kd < k; ++kd) {
+              const std::int64_t id = od * stride + kd;
+              for (std::int64_t kh = 0; kh < k; ++kh) {
+                const std::int64_t ih = oh * stride + kh;
+                for (std::int64_t kw = 0; kw < k; ++kw) {
+                  const Wt* wtile =
+                      weights +
+                      ((((ocb * k + kd) * k + kh) * k + kw) * ic_count) * kB;
+                  for (std::int64_t ic = 0; ic < ic_count; ++ic) {
+                    const float* splane =
+                        padded + ((ic * pd_ + id) * ph_ + ih) * pw_ + kw;
+                    const Wt* wrow = wtile + ic * kB;
+                    for (std::int64_t ow = 0; ow < out_w_; ++ow) {
+                      const float sv = splane[ow * stride];
+                      float* d = acc.data() + ow * kB;
+                      for (int oc = 0; oc < kB; ++oc) {
+                        d[oc] += widen(wrow[oc]) * sv;
+                      }
+                    }
+                  }
+                }
+              }
+            }
+            store_row(acc.data(), drow, row_len, fused_, slope_);
+          };
+          for (std::int64_t dh = 0; dh < dst_h; ++dh) {
+            if (!pooled_) {
+              conv_row(dd, dh,
+                       dst + ((ocb * out_d_ + dd) * out_h_ + dh) * row_len);
+              continue;
+            }
+            for (std::int64_t i = 0; i < 4; ++i) {
+              conv_row(2 * dd + i / 2, 2 * dh + i % 2,
+                       rows.data() + i * row_len);
+            }
+            pool_rows<Ot>(rows.data(), ocb, dd, dh, dst, mask);
           }
         }
       },
@@ -936,176 +1300,20 @@ void Conv3d::forward_blocked(const float* padded, const Wt* weights, Ot* dst,
 }
 
 template void Conv3d::forward_blocked(const float*, const float*, float*,
-                                      runtime::ThreadPool&,
+                                      std::uint16_t*, runtime::ThreadPool&,
                                       std::size_t) const;
 template void Conv3d::forward_blocked(const float*, const bf16_t*, bf16_t*,
-                                      runtime::ThreadPool&,
+                                      std::uint16_t*, runtime::ThreadPool&,
                                       std::size_t) const;
+template void Conv3d::forward_plain_src(const float*, const float*, float*,
+                                        std::uint16_t*, runtime::ThreadPool&,
+                                        std::size_t) const;
+template void Conv3d::forward_plain_src(const float*, const bf16_t*,
+                                        bf16_t*, std::uint16_t*,
+                                        runtime::ThreadPool&,
+                                        std::size_t) const;
 
-#if defined(__AVX512F__)
-
-/// First-layer (IC == 1) forward fast path: 8 x 16-lane accumulator
-/// registers per output-row block, held across the whole kernel
-/// window. `splane` is the padded single-channel source plane at
-/// (id, ih), `wtap` the {K, 16oc} weight rows for this (kd, kh).
-inline void micro_fwd_row_ic1(float* __restrict dst_row,
-                              const float* __restrict bias16,
-                              const float* const* splanes,
-                              const float* const* wtaps, std::int64_t taps,
-                              std::int64_t kernel_w, std::int64_t count,
-                              std::int64_t stride) {
-  std::int64_t ow = 0;
-  for (; ow + kOwBlock <= count; ow += kOwBlock) {
-    const __m512 b = _mm512_loadu_ps(bias16);
-    __m512 a0 = b, a1 = b, a2 = b, a3 = b, a4 = b, a5 = b, a6 = b, a7 = b;
-    for (std::int64_t tap = 0; tap < taps; ++tap) {
-      const float* s = splanes[tap] + ow * stride;
-      const float* w = wtaps[tap];
-      for (std::int64_t kw = 0; kw < kernel_w; ++kw) {
-        const __m512 wv = _mm512_loadu_ps(w + kw * kB);
-        a0 = _mm512_fmadd_ps(wv, _mm512_set1_ps(s[0 * stride + kw]), a0);
-        a1 = _mm512_fmadd_ps(wv, _mm512_set1_ps(s[1 * stride + kw]), a1);
-        a2 = _mm512_fmadd_ps(wv, _mm512_set1_ps(s[2 * stride + kw]), a2);
-        a3 = _mm512_fmadd_ps(wv, _mm512_set1_ps(s[3 * stride + kw]), a3);
-        a4 = _mm512_fmadd_ps(wv, _mm512_set1_ps(s[4 * stride + kw]), a4);
-        a5 = _mm512_fmadd_ps(wv, _mm512_set1_ps(s[5 * stride + kw]), a5);
-        a6 = _mm512_fmadd_ps(wv, _mm512_set1_ps(s[6 * stride + kw]), a6);
-        a7 = _mm512_fmadd_ps(wv, _mm512_set1_ps(s[7 * stride + kw]), a7);
-      }
-    }
-    float* d = dst_row + ow * kB;
-    _mm512_storeu_ps(d + 0 * kB, a0);
-    _mm512_storeu_ps(d + 1 * kB, a1);
-    _mm512_storeu_ps(d + 2 * kB, a2);
-    _mm512_storeu_ps(d + 3 * kB, a3);
-    _mm512_storeu_ps(d + 4 * kB, a4);
-    _mm512_storeu_ps(d + 5 * kB, a5);
-    _mm512_storeu_ps(d + 6 * kB, a6);
-    _mm512_storeu_ps(d + 7 * kB, a7);
-  }
-  for (; ow < count; ++ow) {
-    __m512 a = _mm512_loadu_ps(bias16);
-    for (std::int64_t tap = 0; tap < taps; ++tap) {
-      const float* s = splanes[tap] + ow * stride;
-      const float* w = wtaps[tap];
-      for (std::int64_t kw = 0; kw < kernel_w; ++kw) {
-        a = _mm512_fmadd_ps(_mm512_loadu_ps(w + kw * kB),
-                            _mm512_set1_ps(s[kw]), a);
-      }
-    }
-    _mm512_storeu_ps(dst_row + ow * kB, a);
-  }
-}
-
-#endif  // __AVX512F__
-
-void Conv3d::forward_plain_src(const Tensor& /*src*/, Tensor& dst,
-                               const float* padded,
-                               runtime::ThreadPool& pool,
-                               std::size_t grain) const {
-  const std::int64_t ic_count = config_.in_channels;
-  const std::int64_t ocb_count = config_.out_channels / kB;
-  const std::int64_t k = config_.kernel;
-  const std::int64_t stride = config_.stride;
-  const std::int64_t dp = pd_;
-  const std::int64_t hp = ph_;
-  const std::int64_t wp = pw_;
-
-#if defined(__AVX512F__)
-  if (ic_count == 1) {
-    // Dedicated first-layer kernel: register accumulators across the
-    // whole window, writing output rows directly.
-    pool.parallel_for(
-        static_cast<std::size_t>(ocb_count * out_d_),
-        [&](std::size_t begin, std::size_t end, std::size_t) {
-          std::vector<const float*> splanes(static_cast<std::size_t>(k * k));
-          std::vector<const float*> wtaps(static_cast<std::size_t>(k * k));
-          for (std::size_t job = begin; job < end; ++job) {
-            const std::int64_t ocb =
-                static_cast<std::int64_t>(job) / out_d_;
-            const std::int64_t od = static_cast<std::int64_t>(job) % out_d_;
-            for (std::int64_t oh = 0; oh < out_h_; ++oh) {
-              std::int64_t tap = 0;
-              for (std::int64_t kd = 0; kd < k; ++kd) {
-                const std::int64_t id = od * stride + kd;
-                for (std::int64_t kh = 0; kh < k; ++kh, ++tap) {
-                  const std::int64_t ih = oh * stride + kh;
-                  splanes[static_cast<std::size_t>(tap)] =
-                      padded + (id * hp + ih) * wp;
-                  wtaps[static_cast<std::size_t>(tap)] =
-                      weights_.data() +
-                      (((ocb * k + kd) * k + kh) * k) * kB;
-                }
-              }
-              float* drow =
-                  dst.data() +
-                  (((ocb * out_d_ + od) * out_h_ + oh) * out_w_) * kB;
-              micro_fwd_row_ic1(drow, bias_.data() + ocb * kB,
-                                splanes.data(), wtaps.data(), k * k, k,
-                                out_w_, stride);
-              // Post-op over the still-cache-hot row.
-              if (fused_) apply_eltwise_row(drow, out_w_ * kB, slope_);
-            }
-          }
-        },
-        grain);
-    return;
-  }
-#endif  // __AVX512F__
-
-  pool.parallel_for(
-      static_cast<std::size_t>(ocb_count * out_d_),
-      [&](std::size_t begin, std::size_t end, std::size_t) {
-        std::vector<float> acc(static_cast<std::size_t>(out_w_) * kB);
-        for (std::size_t job = begin; job < end; ++job) {
-          const std::int64_t ocb = static_cast<std::int64_t>(job) / out_d_;
-          const std::int64_t od = static_cast<std::int64_t>(job) % out_d_;
-          for (std::int64_t oh = 0; oh < out_h_; ++oh) {
-            const float* b = bias_.data() + ocb * kB;
-            for (std::int64_t ow = 0; ow < out_w_; ++ow) {
-              std::memcpy(acc.data() + ow * kB, b, kB * sizeof(float));
-            }
-            for (std::int64_t kd = 0; kd < k; ++kd) {
-              const std::int64_t id = od * stride + kd;
-              for (std::int64_t kh = 0; kh < k; ++kh) {
-                const std::int64_t ih = oh * stride + kh;
-                for (std::int64_t kw = 0; kw < k; ++kw) {
-                  const float* wtile =
-                      weights_.data() +
-                      ((((ocb * k + kd) * k + kh) * k + kw) * ic_count) *
-                          kB;
-                  for (std::int64_t ic = 0; ic < ic_count; ++ic) {
-                    const float* splane =
-                        padded + ((ic * dp + id) * hp + ih) * wp + kw;
-                    const float* wrow = wtile + ic * kB;
-                    for (std::int64_t ow = 0; ow < out_w_; ++ow) {
-                      const float sv = splane[ow * stride];
-                      float* d = acc.data() + ow * kB;
-                      for (int oc = 0; oc < kB; ++oc) {
-                        d[oc] += wrow[oc] * sv;
-                      }
-                    }
-                  }
-                }
-              }
-            }
-            float* drow = dst.data() +
-                          (((ocb * out_d_ + od) * out_h_ + oh) * out_w_) *
-                              kB;
-            if (fused_) {
-              store_row_eltwise(drow, acc.data(), out_w_ * kB, slope_);
-            } else {
-              std::memcpy(drow, acc.data(),
-                          static_cast<std::size_t>(out_w_) * kB *
-                              sizeof(float));
-            }
-          }
-        }
-      },
-      grain);
-}
-
-void Conv3d::backward_weights_blocked(const Tensor& ddst,
+void Conv3d::backward_weights_blocked(const float* ddst,
                                       const float* padded,
                                       Tensor& weight_grad,
                                       runtime::ThreadPool& pool,
@@ -1136,7 +1344,7 @@ void Conv3d::backward_weights_blocked(const Tensor& ddst,
               micro_bww_tap(
                   acc.data(),
                   padded + (((icb * dp + kd) * hp + kh) * wp + kw) * kB,
-                  ddst.data() + ocb * out_d_ * out_h_ * out_w_ * kB, out_d_,
+                  ddst + ocb * out_d_ * out_h_ * out_w_ * kB, out_d_,
                   out_h_, out_w_, stride, stride * hp * wp * kB,
                   stride * wp * kB);
               float* wtile =
@@ -1153,7 +1361,7 @@ void Conv3d::backward_weights_blocked(const Tensor& ddst,
       grain);
 }
 
-void Conv3d::backward_data_blocked(const Tensor& ddst, Tensor& dsrc,
+void Conv3d::backward_data_blocked(const float* ddst, Tensor& dsrc,
                                    std::span<float> scratch,
                                    runtime::ThreadPool& pool,
                                    std::size_t grain) const {
@@ -1229,7 +1437,7 @@ void Conv3d::backward_data_blocked(const Tensor& ddst, Tensor& dsrc,
                   const std::int64_t oh = hnum / stride;
                   if (oh >= out_h_) continue;
                   const float* drow =
-                      ddst.data() +
+                      ddst +
                       (((ocb * out_d_ + od) * out_h_ + oh) * out_w_) * kB;
                   const float* wt_tap =
                       wt_base +

@@ -84,13 +84,16 @@ class Conv3d final : public Layer {
                     runtime::ThreadPool& pool) const override;
 
   /// Forward stages the source into a zero-padded workspace (written by
-  /// forward, re-read by backward-weights of the same stream).
+  /// forward, re-read by backward-weights of the same stream). A fused
+  /// pool appends its LeakyReLU mask (one bit per conv output) to the
+  /// region.
   std::size_t forward_workspace_floats() const override;
 
   /// The stream's scratch span holds the backward sweep's per-slab
   /// partials, then backward-data's transposed weights
   /// ({..., 16oc, 16ic}); a planned context shares it across layers
-  /// (DESIGN.md §2.2).
+  /// (DESIGN.md §2.2). A blocked-source layer with a fused pool puts
+  /// the re-expanded full-resolution ddst in front of them.
   std::size_t backward_scratch_floats() const override;
 
   /// MKL-DNN-style post-op fusion: fold a trailing LeakyReLU into the
@@ -100,6 +103,19 @@ class Conv3d final : public Layer {
   bool fuse_leaky_relu(float slope) override;
   bool fused() const noexcept { return fused_; }
 
+  /// Pool epilogue (DESIGN.md §2.1): a layer that absorbed its
+  /// LeakyReLU also absorbs the AvgPool3d{2, 2} behind it. The output
+  /// is then the pooled {OCb, OD/2, OH/2, OW/2, 16}: each forward job
+  /// computes the four conv rows of a pooled row into a row buffer and
+  /// averages every 2x2x2 window in AvgPool3d's own order, and a
+  /// private workspace keeps one `y > 0` bit per conv output in place
+  /// of the full-resolution output. The backward sweep re-expands
+  /// pooled ddst * 0.125f under that mask, so every result is bitwise
+  /// the unfused triple's. Odd conv dims pool like AvgPool3d (the last
+  /// row is dropped) in the forward only; backward needs them even.
+  bool fuse_avg_pool() override;
+  bool pool_fused() const noexcept { return pooled_; }
+
   std::vector<ParamSpec> param_specs() override;
   FlopCounts flops() const override;
 
@@ -108,6 +124,7 @@ class Conv3d final : public Layer {
   std::unique_ptr<Layer> clone_unplanned() const override {
     auto copy = std::make_unique<Conv3d>(name(), config_);
     if (fused_) copy->fuse_leaky_relu(slope_);
+    if (pooled_) copy->fuse_avg_pool();
     return copy;
   }
 
@@ -140,31 +157,43 @@ class Conv3d final : public Layer {
   // parallel_for as the minimum jobs per chunk. It only changes how the
   // fixed job grid is partitioned, never the per-job arithmetic, so any
   // value is bitwise-equivalent (DESIGN.md §2.6).
-  /// The blocked (IC >= 16) forward of both precisions: fp32 weights
-  /// and output (Wt = Ot = float) or bf16 (Wt = Ot = bf16_t), over the
-  /// fp32 padded source, on the (ocb pair, od) slab grid.
+  /// The forwards of both precisions: fp32 weights and output (Wt = Ot
+  /// = float) or bf16 (Wt = Ot = bf16_t), over the fp32 padded source.
+  /// The blocked (IC >= 16) one runs on the (ocb pair, dst depth) slab
+  /// grid, the plain-source one on (ocb, dst depth). With a fused pool
+  /// a dst row is pooled from four conv rows, and `mask` (fp32 only,
+  /// null to skip) receives their `y > 0` bits.
   template <class Wt, class Ot>
   void forward_blocked(const float* padded, const Wt* weights, Ot* dst,
-                       runtime::ThreadPool& pool, std::size_t grain) const;
-  void forward_plain_src(const tensor::Tensor& src, tensor::Tensor& dst,
-                         const float* padded, runtime::ThreadPool& pool,
+                       std::uint16_t* mask, runtime::ThreadPool& pool,
+                       std::size_t grain) const;
+  template <class Wt, class Ot>
+  void forward_plain_src(const float* padded, const Wt* weights, Ot* dst,
+                         std::uint16_t* mask, runtime::ThreadPool& pool,
                          std::size_t grain) const;
+  /// Fused-pool epilogue of one dst row (ocb, pd, ph): averages the four
+  /// conv rows at `rows` (row r = conv row (2pd + r / 2, 2ph + r % 2),
+  /// out_w_ positions each) into dst and records their mask bits.
+  template <class Ot>
+  void pool_rows(const Ot* rows, std::int64_t ocb, std::int64_t pd,
+                 std::int64_t ph, Ot* dst, std::uint16_t* mask) const;
   /// The one sweep over ddst that opens every backward, on the
   /// (ocb, od) slab grid: masks ddst with the fused LeakyReLU
   /// derivative (`dst` = the forward output, or null when unfused),
   /// sums the bias gradient and, for a plain source, every
-  /// weight-gradient tap. Per-slab partials in exec.scratch combine in
-  /// slab order.
+  /// weight-gradient tap. With a fused pool it reads pooled ddst and
+  /// the forward's mask instead, and writes the full-resolution masked
+  /// ddst to `dfull` when a later pass reads it (null: nothing does).
+  /// Per-slab partials in `partials` combine in slab order.
   void backward_sweep(const tensor::Tensor* dst, tensor::Tensor& ddst,
-                      bool need_dsrc, LayerExecState& exec,
-                      runtime::ThreadPool& pool) const;
-  void backward_weights_blocked(const tensor::Tensor& ddst,
-                                const float* padded,
+                      float* dfull, bool need_dsrc, float* partials,
+                      LayerExecState& exec, runtime::ThreadPool& pool) const;
+  void backward_weights_blocked(const float* ddst, const float* padded,
                                 tensor::Tensor& weight_grad,
                                 runtime::ThreadPool& pool,
                                 std::size_t grain) const;
-  void backward_data_blocked(const tensor::Tensor& ddst,
-                             tensor::Tensor& dsrc, std::span<float> scratch,
+  void backward_data_blocked(const float* ddst, tensor::Tensor& dsrc,
+                             std::span<float> scratch,
                              runtime::ThreadPool& pool,
                              std::size_t grain) const;
   void backward_data_plain_src(const tensor::Tensor& ddst,
@@ -179,14 +208,29 @@ class Conv3d final : public Layer {
   void stage_padded_src(const tensor::Tensor& src, LayerExecState& exec,
                         runtime::ThreadPool& pool) const;
 
+  /// Floats of the padded source at the head of the forward workspace.
+  std::size_t padded_floats() const;
+  /// Elements of the conv output before any fused pool.
+  std::int64_t conv_numel() const {
+    return config_.out_channels * out_d_ * out_h_ * out_w_;
+  }
+  /// The fused pool's mask in the workspace tail: one uint16 of
+  /// `y > 0` lane bits per (ocb, od, oh, ow) conv output position. Null
+  /// without a fused pool or when the workspace is shared (an
+  /// inference context: no backward reads it).
+  std::uint16_t* pool_mask(const LayerExecState& exec) const;
+
   Conv3dConfig config_;
   bool plain_input_ = false;
 
-  // Fused LeakyReLU epilogue (see fuse_leaky_relu).
+  // Fused LeakyReLU epilogue (see fuse_leaky_relu) and pool epilogue
+  // (see fuse_avg_pool).
   bool fused_ = false;
   float slope_ = 0.0f;
+  bool pooled_ = false;
 
-  // Spatial geometry (set by plan). pd_/ph_/pw_ are the padded extents
+  // Spatial geometry (set by plan). out_x_ are the conv's own output
+  // dims, before any fused pool; pd_/ph_/pw_ are the padded extents
   // in_x_ + pad_x_.total() of the staging workspace.
   std::int64_t in_d_ = 0, in_h_ = 0, in_w_ = 0;
   std::int64_t out_d_ = 0, out_h_ = 0, out_w_ = 0;

@@ -3,9 +3,10 @@
 // Every kernel here is a forward-only bf16 sibling of the fp32 engines
 // in conv3d.cpp / dense.cpp / avgpool3d.cpp / flatten.cpp (the
 // precision policy: fp32 is the bitwise reference, bf16 is
-// tolerance-gated). The blocked conv is the exception: bf16 runs the
-// fp32 engine's own paired kernel (Conv3d::forward_blocked), with the
-// weight load and the output store swapped for their bf16 forms.
+// tolerance-gated). The conv is the exception: bf16 runs the fp32
+// engine's own kernels (Conv3d::forward_blocked / forward_plain_src,
+// fused pool epilogue included), with the weight load and the output
+// store swapped for their bf16 forms.
 //
 // Weights and activations are stored as bf16, widened on load
 // (vpmovzxwd + vpslld via precision.hpp's bf16_load_16), accumulated in
@@ -57,7 +58,6 @@ using tensor::kChannelBlock;
 namespace {
 
 constexpr std::int64_t kB = kChannelBlock;  // 16
-constexpr std::int64_t kOwBlock = 8;        // accumulator rows in flight
 
 #if CF_BF16_DP
 /// Broadcast two adjacent bf16 source values as one 32-bit lane pair
@@ -70,7 +70,7 @@ inline __m512i bcast_pair(const bf16_t* p) noexcept {
 #endif
 
 /// Fused-epilogue write: identical float ops to conv3d.cpp's
-/// store_row_eltwise, applied to the fp32 accumulator row before any
+/// store_row, applied to the fp32 accumulator row before any
 /// narrowing.
 inline void eltwise_row(float* __restrict row, std::int64_t n,
                         float slope) {
@@ -79,92 +79,6 @@ inline void eltwise_row(float* __restrict row, std::int64_t n,
     row[i] = v > 0.0f ? v : slope * v;
   }
 }
-
-// --- conv micro-kernels -----------------------------------------------
-
-#if defined(__AVX512F__)
-
-/// First-layer (IC == 1) kernel: the fp32 micro_fwd_row_ic1 structure
-/// (8 x 16-lane register accumulators across the whole window) over
-/// the fp32-staged source and widened-on-load bf16 weights, with the
-/// fused LeakyReLU and the RNE narrowing applied before the row
-/// leaves the registers.
-inline void micro_fwd_row_ic1_bf16(bf16_t* __restrict dst_row,
-                                   const float* __restrict bias16,
-                                   const float* const* splanes,
-                                   const bf16_t* const* wtaps,
-                                   std::int64_t taps, std::int64_t kernel_w,
-                                   std::int64_t count, std::int64_t stride,
-                                   bool fused, float slope) {
-  const __m512 slope_v = _mm512_set1_ps(slope);
-  const __m512 zero_v = _mm512_setzero_ps();
-  std::int64_t ow = 0;
-  for (; ow + kOwBlock <= count; ow += kOwBlock) {
-    const __m512 b = _mm512_loadu_ps(bias16);
-    __m512 a0 = b, a1 = b, a2 = b, a3 = b, a4 = b, a5 = b, a6 = b, a7 = b;
-    for (std::int64_t tap = 0; tap < taps; ++tap) {
-      const float* s = splanes[tap] + ow * stride;
-      const bf16_t* w = wtaps[tap];
-      for (std::int64_t kw = 0; kw < kernel_w; ++kw) {
-        const __m512 wv = bf16_load_16(w + kw * kB);
-        a0 = _mm512_fmadd_ps(wv, _mm512_set1_ps(s[0 * stride + kw]), a0);
-        a1 = _mm512_fmadd_ps(wv, _mm512_set1_ps(s[1 * stride + kw]), a1);
-        a2 = _mm512_fmadd_ps(wv, _mm512_set1_ps(s[2 * stride + kw]), a2);
-        a3 = _mm512_fmadd_ps(wv, _mm512_set1_ps(s[3 * stride + kw]), a3);
-        a4 = _mm512_fmadd_ps(wv, _mm512_set1_ps(s[4 * stride + kw]), a4);
-        a5 = _mm512_fmadd_ps(wv, _mm512_set1_ps(s[5 * stride + kw]), a5);
-        a6 = _mm512_fmadd_ps(wv, _mm512_set1_ps(s[6 * stride + kw]), a6);
-        a7 = _mm512_fmadd_ps(wv, _mm512_set1_ps(s[7 * stride + kw]), a7);
-      }
-    }
-    if (fused) {
-      // v > 0 ? v : slope * v — float-identical to eltwise_row on the
-      // fp32 accumulators.
-      a0 = _mm512_mask_blend_ps(_mm512_cmp_ps_mask(a0, zero_v, _CMP_GT_OQ),
-                                _mm512_mul_ps(slope_v, a0), a0);
-      a1 = _mm512_mask_blend_ps(_mm512_cmp_ps_mask(a1, zero_v, _CMP_GT_OQ),
-                                _mm512_mul_ps(slope_v, a1), a1);
-      a2 = _mm512_mask_blend_ps(_mm512_cmp_ps_mask(a2, zero_v, _CMP_GT_OQ),
-                                _mm512_mul_ps(slope_v, a2), a2);
-      a3 = _mm512_mask_blend_ps(_mm512_cmp_ps_mask(a3, zero_v, _CMP_GT_OQ),
-                                _mm512_mul_ps(slope_v, a3), a3);
-      a4 = _mm512_mask_blend_ps(_mm512_cmp_ps_mask(a4, zero_v, _CMP_GT_OQ),
-                                _mm512_mul_ps(slope_v, a4), a4);
-      a5 = _mm512_mask_blend_ps(_mm512_cmp_ps_mask(a5, zero_v, _CMP_GT_OQ),
-                                _mm512_mul_ps(slope_v, a5), a5);
-      a6 = _mm512_mask_blend_ps(_mm512_cmp_ps_mask(a6, zero_v, _CMP_GT_OQ),
-                                _mm512_mul_ps(slope_v, a6), a6);
-      a7 = _mm512_mask_blend_ps(_mm512_cmp_ps_mask(a7, zero_v, _CMP_GT_OQ),
-                                _mm512_mul_ps(slope_v, a7), a7);
-    }
-    bf16_store_16(dst_row + (ow + 0) * kB, a0);
-    bf16_store_16(dst_row + (ow + 1) * kB, a1);
-    bf16_store_16(dst_row + (ow + 2) * kB, a2);
-    bf16_store_16(dst_row + (ow + 3) * kB, a3);
-    bf16_store_16(dst_row + (ow + 4) * kB, a4);
-    bf16_store_16(dst_row + (ow + 5) * kB, a5);
-    bf16_store_16(dst_row + (ow + 6) * kB, a6);
-    bf16_store_16(dst_row + (ow + 7) * kB, a7);
-  }
-  for (; ow < count; ++ow) {
-    __m512 a = _mm512_loadu_ps(bias16);
-    for (std::int64_t tap = 0; tap < taps; ++tap) {
-      const float* s = splanes[tap] + ow * stride;
-      const bf16_t* w = wtaps[tap];
-      for (std::int64_t kw = 0; kw < kernel_w; ++kw) {
-        a = _mm512_fmadd_ps(bf16_load_16(w + kw * kB),
-                            _mm512_set1_ps(s[kw]), a);
-      }
-    }
-    if (fused) {
-      a = _mm512_mask_blend_ps(_mm512_cmp_ps_mask(a, zero_v, _CMP_GT_OQ),
-                               _mm512_mul_ps(slope_v, a), a);
-    }
-    bf16_store_16(dst_row + ow * kB, a);
-  }
-}
-
-#endif  // __AVX512F__ conv micro-kernels
 
 // --- padded staging (bf16 -> fp32) ------------------------------------
 
@@ -238,8 +152,7 @@ void Conv3d::forward_bf16(const bf16_t* src, bf16_t* dst,
       static_cast<std::size_t>(weights_.size() + bias_.size())) {
     throw std::logic_error("Conv3d::forward_bf16: bad param segment size");
   }
-  const std::size_t need = forward_workspace_floats();
-  if (exec.workspace.size() < need) {
+  if (exec.workspace.size() < forward_workspace_floats()) {
     throw std::logic_error("Conv3d::forward_bf16: workspace smaller than "
                            "forward_workspace_floats()");
   }
@@ -249,7 +162,7 @@ void Conv3d::forward_bf16(const bf16_t* src, bf16_t* dst,
   // re-zero contract matches stage_padded_src.
   float* padded = exec.workspace.data();
   if (exec.workspace_shared) {
-    std::memset(padded, 0, need * sizeof(float));
+    std::memset(padded, 0, padded_floats() * sizeof(float));
   }
   const std::int64_t ic = config_.in_channels;
   if (plain_input_) {
@@ -262,148 +175,15 @@ void Conv3d::forward_bf16(const bf16_t* src, bf16_t* dst,
                           exec.intraop_grain);
   }
 
-  const bf16_t* wbase = params.data();  // segment = weights then bias
-  const std::int64_t ocb_count = config_.out_channels / kB;
-  const std::int64_t k = config_.kernel;
-  const std::int64_t stride = config_.stride;
-  const std::int64_t dp = pd_, hp = ph_, wp = pw_;
-  const bool fused = fused_;
-  const float slope = slope_;
-
+  // Both conv forwards are the fp32 engine's own kernels with bf16
+  // weight loads and output stores (Conv3d::forward_plain_src /
+  // forward_blocked); the segment is weights then bias.
+  const bf16_t* wbase = params.data();
   if (plain_input_) {
-    // First-layer path (IC < 16). The weight image is tiny
-    // (OCb * K^3 * IC * 16) and L1-resident, so the kernels read it as
-    // bf16 and widen on load — the fp32 first-layer structures are
-    // otherwise unchanged.
-    const std::int64_t ic_count = ic;
-#if defined(__AVX512F__)
-    if (ic_count == 1) {
-      // Mirror of the fp32 micro_fwd_row_ic1 dispatch.
-      pool.parallel_for(
-          static_cast<std::size_t>(ocb_count * out_d_),
-          [&](std::size_t begin, std::size_t end, std::size_t) {
-            std::vector<const float*> splanes(
-                static_cast<std::size_t>(k * k));
-            std::vector<const bf16_t*> wtaps(
-                static_cast<std::size_t>(k * k));
-            for (std::size_t job = begin; job < end; ++job) {
-              const std::int64_t ocb =
-                  static_cast<std::int64_t>(job) / out_d_;
-              const std::int64_t od =
-                  static_cast<std::int64_t>(job) % out_d_;
-              for (std::int64_t oh = 0; oh < out_h_; ++oh) {
-                std::int64_t tap = 0;
-                for (std::int64_t kd = 0; kd < k; ++kd) {
-                  const std::int64_t id = od * stride + kd;
-                  for (std::int64_t kh = 0; kh < k; ++kh, ++tap) {
-                    const std::int64_t ih = oh * stride + kh;
-                    splanes[static_cast<std::size_t>(tap)] =
-                        padded + (id * hp + ih) * wp;
-                    wtaps[static_cast<std::size_t>(tap)] =
-                        wbase + (((ocb * k + kd) * k + kh) * k) * kB;
-                  }
-                }
-                bf16_t* drow =
-                    dst +
-                    (((ocb * out_d_ + od) * out_h_ + oh) * out_w_) * kB;
-                micro_fwd_row_ic1_bf16(drow, bias_.data() + ocb * kB,
-                                       splanes.data(), wtaps.data(), k * k,
-                                       k, out_w_, stride, fused, slope);
-              }
-            }
-          },
-          exec.intraop_grain);
-      return;
-    }
-#endif  // __AVX512F__
-    // Generic plain tier (1 < IC < 16): widened once per forward.
-    std::vector<float> wf(static_cast<std::size_t>(weights_.size()));
-    f32_from_bf16(wbase, wf.data(), wf.size());
-    const float* wfbase = wf.data();
-    pool.parallel_for(
-        static_cast<std::size_t>(ocb_count * out_d_),
-        [&](std::size_t begin, std::size_t end, std::size_t) {
-          std::vector<float> acc(static_cast<std::size_t>(out_w_) * kB);
-          for (std::size_t job = begin; job < end; ++job) {
-            const std::int64_t ocb =
-                static_cast<std::int64_t>(job) / out_d_;
-            const std::int64_t od = static_cast<std::int64_t>(job) % out_d_;
-            const float* b = bias_.data() + ocb * kB;
-            for (std::int64_t oh = 0; oh < out_h_; ++oh) {
-              for (std::int64_t ow = 0; ow < out_w_; ++ow) {
-                std::memcpy(acc.data() + ow * kB, b, kB * sizeof(float));
-              }
-              for (std::int64_t kd = 0; kd < k; ++kd) {
-                const std::int64_t id = od * stride + kd;
-                for (std::int64_t kh = 0; kh < k; ++kh) {
-                  const std::int64_t ih = oh * stride + kh;
-                  for (std::int64_t kw = 0; kw < k; ++kw) {
-                    const float* wtile =
-                        wfbase +
-                        ((((ocb * k + kd) * k + kh) * k + kw) * ic_count) *
-                            kB;
-                    for (std::int64_t ci = 0; ci < ic_count; ++ci) {
-                      const float* splane =
-                          padded + ((ci * dp + id) * hp + ih) * wp + kw;
-#if defined(__AVX512F__)
-                      const __m512 wv = _mm512_loadu_ps(wtile + ci * kB);
-                      std::int64_t ow = 0;
-                      for (; ow + 4 <= out_w_; ow += 4) {
-                        float* d = acc.data() + ow * kB;
-                        const float* s = splane + ow * stride;
-                        __m512 a0 = _mm512_loadu_ps(d + 0 * kB);
-                        __m512 a1 = _mm512_loadu_ps(d + 1 * kB);
-                        __m512 a2 = _mm512_loadu_ps(d + 2 * kB);
-                        __m512 a3 = _mm512_loadu_ps(d + 3 * kB);
-                        a0 = _mm512_fmadd_ps(
-                            wv, _mm512_set1_ps(s[0 * stride]), a0);
-                        a1 = _mm512_fmadd_ps(
-                            wv, _mm512_set1_ps(s[1 * stride]), a1);
-                        a2 = _mm512_fmadd_ps(
-                            wv, _mm512_set1_ps(s[2 * stride]), a2);
-                        a3 = _mm512_fmadd_ps(
-                            wv, _mm512_set1_ps(s[3 * stride]), a3);
-                        _mm512_storeu_ps(d + 0 * kB, a0);
-                        _mm512_storeu_ps(d + 1 * kB, a1);
-                        _mm512_storeu_ps(d + 2 * kB, a2);
-                        _mm512_storeu_ps(d + 3 * kB, a3);
-                      }
-                      for (; ow < out_w_; ++ow) {
-                        float* d = acc.data() + ow * kB;
-                        _mm512_storeu_ps(
-                            d, _mm512_fmadd_ps(
-                                   wv,
-                                   _mm512_set1_ps(splane[ow * stride]),
-                                   _mm512_loadu_ps(d)));
-                      }
-#else
-                      const float* wrow = wtile + ci * kB;
-                      for (std::int64_t ow = 0; ow < out_w_; ++ow) {
-                        const float sv = splane[ow * stride];
-                        float* d = acc.data() + ow * kB;
-                        for (int oc = 0; oc < kB; ++oc) {
-                          d[oc] += wrow[oc] * sv;
-                        }
-                      }
-#endif
-                    }
-                  }
-                }
-              }
-              if (fused) eltwise_row(acc.data(), out_w_ * kB, slope);
-              bf16_from_f32(acc.data(),
-                            dst + (((ocb * out_d_ + od) * out_h_ + oh) *
-                                   out_w_) *
-                                      kB,
-                            static_cast<std::size_t>(out_w_) * kB);
-            }
-          }
-        },
-        exec.intraop_grain);
-    return;
+    forward_plain_src(padded, wbase, dst, nullptr, pool, exec.intraop_grain);
+  } else {
+    forward_blocked(padded, wbase, dst, nullptr, pool, exec.intraop_grain);
   }
-
-  forward_blocked(padded, wbase, dst, pool, exec.intraop_grain);
 }
 
 // --- Dense ------------------------------------------------------------

@@ -5,6 +5,7 @@
 #include <string>
 
 #include "dnn/activations.hpp"
+#include "dnn/avgpool3d.hpp"
 
 namespace cf::dnn {
 
@@ -53,11 +54,51 @@ void Graph::set_heads(std::vector<NodeId> heads) {
   heads_ = std::move(heads);
 }
 
-std::size_t Graph::fuse_eltwise() {
+Graph::FusionCounts Graph::fuse_eltwise(const tensor::Shape& input_shape) {
   if (sealed_) {
     throw std::logic_error("Graph::fuse_eltwise: graph already sealed");
   }
-  // Consumer counts over the pre-fusion ids decide "sole consumer".
+  FusionCounts counts;
+  counts.pairs = fold_into_producers(
+      [](const Layer& node, NodeId, Layer& producer) {
+        const auto* act = dynamic_cast<const LeakyRelu*>(&node);
+        return act != nullptr &&
+               producer.fuse_leaky_relu(act->negative_slope());
+      });
+  const auto is_pool2 = [](const Layer& node) {
+    const auto* avg = dynamic_cast<const AvgPool3d*>(&node);
+    return avg != nullptr && avg->config().kernel == 2 &&
+           avg->config().stride == 2;
+  };
+  if (std::none_of(nodes_.begin(), nodes_.end(), [&](const Node& node) {
+        return is_pool2(*node.layer);
+      })) {
+    return counts;
+  }
+  // The pool pass keys on the producer's output dims: plan every node
+  // once (finalize re-plans the fused graph).
+  std::vector<tensor::Shape> shapes(nodes_.size());
+  std::vector<tensor::Shape> inputs;
+  for (std::size_t i = 0; i < nodes_.size(); ++i) {
+    inputs.clear();
+    for (NodeId p : nodes_[i].inputs) {
+      inputs.push_back(p == kGraphInput ? input_shape : shapes[p]);
+    }
+    shapes[i] = nodes_[i].layer->plan_multi(inputs);
+  }
+  counts.pools = fold_into_producers(
+      [&](const Layer& node, NodeId p, Layer& producer) {
+        const tensor::Shape& out = shapes[p];
+        return is_pool2(node) && out.rank() == 5 && out[1] % 2 == 0 &&
+               out[2] % 2 == 0 && out[3] % 2 == 0 &&
+               producer.fuse_avg_pool();
+      });
+  return counts;
+}
+
+std::size_t Graph::fold_into_producers(
+    const std::function<bool(const Layer&, NodeId, Layer&)>& absorb) {
+  // Consumer counts over the pre-pass ids decide "sole consumer".
   std::vector<std::size_t> consumer_count(nodes_.size(), 0);
   for (const Node& node : nodes_) {
     for (NodeId in : node.inputs) {
@@ -70,31 +111,28 @@ std::size_t Graph::fuse_eltwise() {
   std::vector<Node> kept;
   kept.reserve(nodes_.size());
   std::vector<NodeId> remap(nodes_.size());
-  std::size_t fused = 0;
+  std::size_t folded = 0;
   for (std::size_t i = 0; i < nodes_.size(); ++i) {
     Node node = std::move(nodes_[i]);
     const NodeId orig_input = node.inputs[0];
     for (NodeId& in : node.inputs) {
       if (in != kGraphInput) in = remap[in];
     }
-    if (const auto* act = dynamic_cast<const LeakyRelu*>(node.layer.get())) {
-      if (node.inputs.size() == 1 && orig_input != kGraphInput &&
-          consumer_count[orig_input] == 1 && !pinned[orig_input] &&
-          kept[node.inputs[0]].layer->fuse_leaky_relu(
-              act->negative_slope())) {
-        // Drop the standalone activation; its consumers and head role
-        // fall to the producer.
-        remap[i] = node.inputs[0];
-        ++fused;
-        continue;
-      }
+    if (node.inputs.size() == 1 && orig_input != kGraphInput &&
+        consumer_count[orig_input] == 1 && !pinned[orig_input] &&
+        absorb(*node.layer, orig_input, *kept[node.inputs[0]].layer)) {
+      // Drop the node; its consumers and head role fall to the
+      // producer.
+      remap[i] = node.inputs[0];
+      ++folded;
+      continue;
     }
     remap[i] = kept.size();
     kept.push_back(std::move(node));
   }
   for (NodeId& h : heads_) h = remap[h];
   nodes_ = std::move(kept);
-  return fused;
+  return folded;
 }
 
 void Graph::seal() {

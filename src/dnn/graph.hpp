@@ -16,6 +16,7 @@
 #pragma once
 
 #include <cstddef>
+#include <functional>
 #include <memory>
 #include <vector>
 
@@ -40,14 +41,24 @@ class Graph {
   /// into the flat network output.
   void set_heads(std::vector<NodeId> heads);
 
-  /// MKL-DNN-style post-op fusion, edge-aware: a LeakyRelu node is
-  /// folded into its producer's epilogue only when it is the producer's
-  /// *sole* consumer (a producer with fan-out must keep its
-  /// pre-activation output materialized) and the producer is not itself
-  /// an explicit head. Dropped nodes are compacted out: ids renumber,
-  /// edges and heads rewire onto the producer. Returns the number of
-  /// pairs fused. Must run before seal().
-  std::size_t fuse_eltwise();
+  /// What fuse_eltwise absorbed: LeakyRelu nodes (pairs) and AvgPool3d
+  /// nodes (pools).
+  struct FusionCounts {
+    std::size_t pairs = 0;
+    std::size_t pools = 0;
+  };
+
+  /// MKL-DNN-style post-op fusion, edge-aware, in two passes. A
+  /// LeakyRelu node is folded into its producer's epilogue only when it
+  /// is the producer's *sole* consumer (a producer with fan-out must
+  /// keep its pre-activation output materialized) and the producer is
+  /// not itself an explicit head. An AvgPool3d{2, 2} is then folded
+  /// into such a fused producer under the same rule, when the
+  /// producer's output dims — planned from `input_shape` — are even
+  /// (Layer::fuse_avg_pool). Dropped nodes are compacted out: ids
+  /// renumber, edges and heads rewire onto the producer. Must run
+  /// before seal().
+  FusionCounts fuse_eltwise(const tensor::Shape& input_shape);
 
   /// Freezes the topology: defaults the head list to {last node},
   /// builds the consumer lists and validates that every non-head node
@@ -79,6 +90,14 @@ class Graph {
   std::size_t edge_count() const;
 
  private:
+  /// One compaction pass: node i is dropped, its consumers and head
+  /// role falling to its producer, when it has a single input from a
+  /// non-head producer it is the sole consumer of, and
+  /// `absorb(node, producer id, producer)` accepts (ids before this
+  /// pass). Returns the number of nodes dropped.
+  std::size_t fold_into_producers(
+      const std::function<bool(const Layer&, NodeId, Layer&)>& absorb);
+
   struct Node {
     std::unique_ptr<Layer> layer;
     std::vector<NodeId> inputs;

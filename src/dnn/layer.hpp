@@ -320,6 +320,13 @@ class Layer {
     return false;
   }
 
+  /// Ask the layer to absorb the AvgPool3d{2, 2} that consumes its
+  /// fused LeakyReLU output (the pool epilogue of DESIGN.md §2.1). The
+  /// fusion pass asks only when the pool is that output's sole consumer
+  /// and the planned output dims are even; on true it drops the pool
+  /// node and the layer plans the pooled shape from then on.
+  virtual bool fuse_avg_pool() { return false; }
+
   /// Parameter tensors of the model (empty for parameterless layers).
   /// Gradients are not part of the model — each ExecContext allocates
   /// its own, parallel to this list.

@@ -172,9 +172,12 @@ void Network::finalize(const Shape& input_shape) {
     throw std::logic_error("Network::finalize: no layers");
   }
   if (fuse_eltwise_) {
-    fused_pairs_ = graph_.fuse_eltwise();
-    obs::Registry::global().gauge("dnn/fused_pairs").set(
-        static_cast<double>(fused_pairs_));
+    const Graph::FusionCounts fused = graph_.fuse_eltwise(input_shape);
+    fused_pairs_ = fused.pairs;
+    fused_pools_ = fused.pools;
+    auto& reg = obs::Registry::global();
+    reg.gauge("dnn/fused_pairs").set(static_cast<double>(fused_pairs_));
+    reg.gauge("dnn/fused_pools").set(static_cast<double>(fused_pools_));
   }
   graph_.seal();
   input_shape_ = input_shape;

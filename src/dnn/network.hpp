@@ -70,13 +70,16 @@ class Network {
   /// whose activation is the producer's *sole* consumer is collapsed
   /// into the producer layer (forward epilogue + backward mask) and the
   /// standalone activation node — its two buffers and its two
-  /// full-tensor sweeps — disappears. Off by default so hand-built test
-  /// networks keep their literal layer list; build_network() turns it
-  /// on.
+  /// full-tensor sweeps — disappears. A fused conv whose output then
+  /// feeds only an AvgPool3d{2, 2} over even dims absorbs the pool too
+  /// (Graph::fuse_eltwise). Off by default so hand-built test networks
+  /// keep their literal layer list; build_network() turns it on.
   void set_fuse_eltwise(bool enabled) noexcept { fuse_eltwise_ = enabled; }
   bool fuse_eltwise() const noexcept { return fuse_eltwise_; }
   /// Number of activation layers absorbed by the fusion pass.
   std::size_t fused_pairs() const noexcept { return fused_pairs_; }
+  /// Number of pool layers absorbed by the fusion pass.
+  std::size_t fused_pools() const noexcept { return fused_pools_; }
 
   /// When enabled (before finalize), training contexts place their
   /// buffers with the liveness-based memory planner (DESIGN.md §2.2 /
@@ -290,6 +293,7 @@ class Network {
   bool memplan_ = false;
   bool weights_shared_ = false;  // shape view: params alias the parent
   std::size_t fused_pairs_ = 0;
+  std::size_t fused_pools_ = 0;
   NodeId last_node_ = kGraphInput;  // tail of the add() chain
 };
 

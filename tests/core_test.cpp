@@ -3,7 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
+#include <fstream>
+#include <iterator>
+#include <vector>
 
 #include "core/checkpoint.hpp"
 #include "core/metrics.hpp"
@@ -11,6 +15,7 @@
 #include "core/trainer.hpp"
 #include "cosmo/simulation.hpp"
 #include "data/dataset.hpp"
+#include "dnn/dense.hpp"
 #include "runtime/rng.hpp"
 #include "tensor/tensor_ops.hpp"
 
@@ -30,7 +35,8 @@ TEST(Topology, Canonical128MatchesPaperAggregates) {
     denses += kind == "dense";
   }
   EXPECT_EQ(convs, 7);
-  EXPECT_EQ(pools, 3);
+  // build_network fuses each pool into the conv before it.
+  EXPECT_EQ(pools + static_cast<int>(net.fused_pools()), 3);
   EXPECT_EQ(denses, 3);
 
   EXPECT_EQ(net.param_count(), 7054259);  // 28.2 MB vs paper's 28.15 MB
@@ -164,6 +170,85 @@ TEST(Checkpoint, RejectsWrongTopologyAndCorruption) {
   EXPECT_THROW(load_checkpoint(path, "cosmoflow-16", other),
                std::runtime_error);
   std::filesystem::remove(path);
+}
+
+TEST(CheckpointFuzz, EveryBitFlipTruncationAndTailIsRejected) {
+  // A tiny hand-built network keeps the file at ~2 KB, so every single
+  // bit can be flipped.
+  const auto make_net = [](std::uint64_t seed) {
+    dnn::Network net;
+    auto& fc = net.emplace<dnn::Dense>("fc", 16, 32);
+    net.finalize(tensor::Shape{16});
+    runtime::Rng rng(seed);
+    fc.init_xavier(rng);
+    return net;
+  };
+  const std::filesystem::path tmp = std::filesystem::temp_directory_path();
+  const std::string pristine = (tmp / "cf_ckpt_fuzz.bin").string();
+  const std::string mutated = (tmp / "cf_ckpt_fuzz_bad.bin").string();
+  dnn::Network saved = make_net(3);
+  save_checkpoint(pristine, "tiny", saved);
+  std::vector<char> bytes;
+  {
+    std::ifstream in(pristine, std::ios::binary);
+    bytes.assign(std::istreambuf_iterator<char>(in), {});
+  }
+  ASSERT_GT(bytes.size(), 2000u);
+  ASSERT_LT(bytes.size(), 4096u);
+
+  dnn::Network target = make_net(4);
+  std::vector<float> before(static_cast<std::size_t>(target.param_count()));
+  target.copy_params_to(before);
+  // Loads `contents` into target; true when it threw runtime_error and
+  // left every parameter as it was.
+  const auto rejected = [&](const std::vector<char>& contents) {
+    {
+      std::ofstream out(mutated, std::ios::binary | std::ios::trunc);
+      out.write(contents.data(),
+                static_cast<std::streamsize>(contents.size()));
+    }
+    bool threw = false;
+    try {
+      load_checkpoint(mutated, "tiny", target);
+    } catch (const std::runtime_error&) {
+      threw = true;
+    }
+    std::vector<float> now(before.size());
+    target.copy_params_to(now);
+    return threw && std::memcmp(now.data(), before.data(),
+                                now.size() * sizeof(float)) == 0;
+  };
+
+  for (std::size_t i = 0; i < bytes.size(); ++i) {
+    for (int bit = 0; bit < 8; ++bit) {
+      std::vector<char> flipped = bytes;
+      flipped[i] = static_cast<char>(flipped[i] ^ (1 << bit));
+      ASSERT_TRUE(rejected(flipped))
+          << "bit " << bit << " of byte " << i << " flipped";
+    }
+  }
+  for (std::size_t len = 0; len < bytes.size(); ++len) {
+    ASSERT_TRUE(rejected({bytes.begin(), bytes.begin() +
+                                             static_cast<std::ptrdiff_t>(
+                                                 len)}))
+        << "truncated to " << len << " bytes";
+  }
+  for (const std::size_t extra : {std::size_t{1}, std::size_t{4}}) {
+    std::vector<char> padded = bytes;
+    padded.resize(bytes.size() + extra, '\0');
+    EXPECT_TRUE(rejected(padded)) << extra << " bytes appended";
+  }
+
+  // The pristine file still loads, bit for bit.
+  load_checkpoint(pristine, "tiny", target);
+  std::vector<float> loaded(before.size()), expected(before.size());
+  target.copy_params_to(loaded);
+  saved.copy_params_to(expected);
+  EXPECT_EQ(std::memcmp(loaded.data(), expected.data(),
+                        loaded.size() * sizeof(float)),
+            0);
+  std::filesystem::remove(pristine);
+  std::filesystem::remove(mutated);
 }
 
 // --- Trainer ---------------------------------------------------------

@@ -185,7 +185,9 @@ TEST(IntraopCostModel, GrainsStayWithinJobGrid) {
     for (std::size_t i = 0; i < grains.size(); ++i) {
       EXPECT_GE(grains[i], 1u);
       EXPECT_LE(grains[i], cm.layer_costs()[i].jobs);
-      if (t <= 1) EXPECT_EQ(grains[i], 1u);
+      if (t <= 1) {
+        EXPECT_EQ(grains[i], 1u);
+      }
     }
   }
 }

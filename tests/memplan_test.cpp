@@ -85,18 +85,19 @@ TEST(MemplanPlanner, UnplannedDiffsKeepPrivateStorage) {
 
 TEST(MemplanPlanner, PeakBytesPinnedForScaled32) {
   dnn::Network planned = core::build_network(core::cosmoflow_scaled(32), 5);
-  // Activations: conv1 {1,32,32,32,16} 524288 + pool1 65536 +
-  // conv2 131072 + pool2 16384 + conv3 4096 + flatten 4096 +
-  // fc 128 + 32 + 3 = 745635 floats.
-  EXPECT_EQ(planned.activation_bytes(), 745635u * sizeof(float));
-  // Ping-pong: max even diff 524288 (conv1) + max odd diff 65536
-  // (pool1) — vs 745635 for the per-layer buffers it replaces.
-  EXPECT_EQ(planned.diff_arena_bytes(), 589824u * sizeof(float));
-  // Shared scratch: max transposed-weight request = conv3
-  // (4 ocb * 2 icb * 27 taps * 256) = 55296 floats.
-  EXPECT_EQ(planned.scratch_bytes(), 55296u * sizeof(float));
+  // Activations (conv1 and conv2 absorb their pools, so they output the
+  // pooled volumes): conv1 {1,16,16,16,16} 65536 + conv2 16384 +
+  // conv3 4096 + flatten 4096 + fc 128 + 32 + 3 = 90275 floats.
+  EXPECT_EQ(planned.activation_bytes(), 90275u * sizeof(float));
+  // Ping-pong: max even diff 65536 (conv1) + max odd diff 16384
+  // (conv2) — vs 90275 for the per-layer buffers it replaces.
+  EXPECT_EQ(planned.diff_arena_bytes(), 81920u * sizeof(float));
+  // Shared scratch: conv2's request, its re-expanded full-resolution
+  // ddst {2,16,16,16,16} 131072 plus its transposed weights
+  // (2 ocb * 1 icb * 27 taps * 256) 13824 = 144896 floats.
+  EXPECT_EQ(planned.scratch_bytes(), 144896u * sizeof(float));
   EXPECT_EQ(planned.peak_tensor_bytes(),
-            (745635u + 589824u + 55296u) * sizeof(float));
+            (90275u + 81920u + 144896u) * sizeof(float));
 
   dnn::Network unplanned =
       core::build_network(core::cosmoflow_scaled(32), 5,

@@ -234,9 +234,9 @@ TEST(Trace, SnapshotMergesAndSortsAcrossThreads) {
 TEST(Trace, RingKeepsNewestAndCountsDrops) {
   Tracer tracer(/*ring_capacity=*/4);
   for (int i = 0; i < 6; ++i) {
-    const std::string name = "e" + std::to_string(i);
-    tracer.record_at(name.c_str(), "x", 0,
-                     static_cast<std::uint64_t>(i), 1);
+    char name[8];
+    std::snprintf(name, sizeof(name), "e%d", i);
+    tracer.record_at(name, "x", 0, static_cast<std::uint64_t>(i), 1);
   }
   const std::vector<TraceEvent> events = tracer.snapshot();
   ASSERT_EQ(events.size(), 4u);
